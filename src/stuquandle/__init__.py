@@ -33,10 +33,8 @@ from .polynomial import (
     ElementProfile,
     Polynomial,
     PolynomialMultiset,
-    canonical_render,
     element_profile,
     parse_polynomial,
-    phi_render,
     profile_exponents,
     quandle_polynomial,
     stuquandle_polynomial,
@@ -57,7 +55,6 @@ from .presentation import (
     Relation,
     Stuck,
     add_kink,
-    brute_force_colorings,
     coloring_image,
     compare_invariants,
     compile_diagram,

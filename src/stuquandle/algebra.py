@@ -5,6 +5,28 @@ R1..R4.  Everything here works on carriers {0..n-1} with the five
 operations stored as n x n tables, row = first argument, column = second
 argument.  The inverse operation x ~* y (the preimage of x under the
 column-y bijection of *) is always derived, never user supplied.
+
+Tables are held as tuples of row tuples (`OperationTable.rows`), and the
+checks below index those rows and their transposed columns directly:
+T(a, b) is rows[a][b].  The thirteen axioms are
+
+    columns      every column map x -> x * y is a bijection
+    quandle-i    (x * y) * z = (x * z) * (y * z)
+    quandle-iii  x * x = x
+    eq1   R1(x ~* y, z) * y = R1(x, z * y)
+    eq2   R2(x ~* y, z) = R2(x, z * y) ~* y
+    eq3   (y ~* R1(x, z)) * x = (y * R2(x, z)) ~* z
+    eq4   R2(x, y) = R1(y, x * y)
+    eq5   R1(x, y) * R2(x, y) = R2(y, x * y)
+    eq6   R3(y, x) * R4(y, x) = R4(x * y, y)
+    eq7   R4(y, x) = R3(x * y, y)
+    eq8   R3(y * x, z) = R3(y, z ~* x) * x
+    eq9   R4(y, z ~* x) = R4(y * x, z) ~* x
+    eq10  (x * R4(y, z)) ~* y = (x ~* R3(y, z)) * z
+
+and they are checked in exactly that order, each over its variables in
+(x, y, z) lexicographic order.  The first failure is reported with its
+witness, so the scan order is part of the output and must not change.
 """
 
 from __future__ import annotations
@@ -12,6 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd
+from operator import getitem
 
 from .errors import AxiomViolation, NonBijectiveColumn, NonUnit
 
@@ -78,6 +101,22 @@ def _as_table(n: int, table) -> OperationTable:
     return t
 
 
+def _scan(n: int, axioms) -> None:
+    """Raise AxiomViolation at the first failing (axiom, witness).
+
+    Each axiom is (id, arity, sides): sides(*prefix) takes the first
+    arity - 1 variables and returns both sides of the equation as
+    sequences over the last variable, so the first index where they differ
+    completes the witness.
+    """
+    for axiom, arity, sides in axioms:
+        for prefix in itertools.product(range(n), repeat=arity - 1):
+            lhs, rhs = map(tuple, sides(*prefix))
+            if lhs != rhs:
+                last = next(i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+                raise AxiomViolation(axiom, prefix + (last,))
+
+
 def verify_quandle(star: OperationTable) -> OperationTable:
     """Check quandle axioms for *, returning the derived ~* table.
 
@@ -85,56 +124,50 @@ def verify_quandle(star: OperationTable) -> OperationTable:
     then right distributivity, then idempotency.
     """
     star_inv = star.column_inverse()
-    n = star.n
-    for x, y, z in itertools.product(range(n), repeat=3):
-        if star(star(x, y), z) != star(star(x, z), star(y, z)):
-            raise AxiomViolation("quandle-i", (x, y, z))
-    for x in range(n):
-        if star(x, x) != x:
-            raise AxiomViolation("quandle-iii", (x,))
+    S = star.rows
+    elements = range(star.n)
+    _scan(star.n, (
+        ("quandle-i", 3, lambda x, y: (
+            S[S[x][y]], map(getitem, map(S.__getitem__, S[x]), S[y]))),
+        ("quandle-iii", 1, lambda: (map(getitem, S, elements), elements)),
+    ))
     return star_inv
 
 
-# Singquandle/stuquandle axioms over (x, y) pairs and (x, y, z) triples.
-# Each entry: (axiom id, predicate); predicates close over the six tables.
-def _pair_axioms(star, sinv, r1, r2, r3, r4):
-    return (
-        ("eq4", lambda x, y: r2(x, y) == r1(y, star(x, y))),
-        ("eq5", lambda x, y: star(r1(x, y), r2(x, y)) == r2(y, star(x, y))),
-        ("eq6", lambda x, y: star(r3(y, x), r4(y, x)) == r4(star(x, y), y)),
-        ("eq7", lambda x, y: r4(y, x) == r3(star(x, y), y)),
-    )
-
-
-def _triple_axioms(star, sinv, r1, r2, r3, r4):
-    return (
-        ("eq1", lambda x, y, z: star(r1(sinv(x, y), z), y) == r1(x, star(z, y))),
-        ("eq2", lambda x, y, z: r2(sinv(x, y), z) == sinv(r2(x, star(z, y)), y)),
-        ("eq3", lambda x, y, z: star(sinv(y, r1(x, z)), x) == sinv(star(y, r2(x, z)), z)),
-        ("eq8", lambda x, y, z: r3(star(y, x), z) == star(r3(y, sinv(z, x)), x)),
-        ("eq9", lambda x, y, z: r4(y, sinv(z, x)) == sinv(r4(star(y, x), z), x)),
-        ("eq10", lambda x, y, z: sinv(star(x, r4(y, z)), y) == star(sinv(x, r3(y, z)), z)),
-    )
-
-
-_AXIOM_ORDER = ("eq1", "eq2", "eq3", "eq4", "eq5", "eq6", "eq7", "eq8", "eq9", "eq10")
-
-
 def _verify_stuquandle(star, sinv, r1, r2, r3, r4):
-    n = star.n
-    pair = dict(_pair_axioms(star, sinv, r1, r2, r3, r4))
-    triple = dict(_triple_axioms(star, sinv, r1, r2, r3, r4))
-    for axiom in _AXIOM_ORDER:
-        if axiom in pair:
-            ok = pair[axiom]
-            for x, y in itertools.product(range(n), repeat=2):
-                if not ok(x, y):
-                    raise AxiomViolation(axiom, (x, y))
-        else:
-            ok = triple[axiom]
-            for x, y, z in itertools.product(range(n), repeat=3):
-                if not ok(x, y, z):
-                    raise AxiomViolation(axiom, (x, y, z))
+    """Check eq1..eq10 in order; the sides are composed from rows (T[a])
+    and columns (Tc[b]) so that T(a, b) = T[a][b] = Tc[b][a]."""
+    S, SI, R1, R2, R3, R4 = (t.rows for t in (star, sinv, r1, r2, r3, r4))
+    Sc, SIc, R3c, R4c = (tuple(zip(*t)) for t in (S, SI, R3, R4))
+    elements = range(star.n)
+    _scan(star.n, (
+        ("eq1", 3, lambda x, y: (
+            map(Sc[y].__getitem__, R1[SI[x][y]]),
+            map(R1[x].__getitem__, Sc[y]))),
+        ("eq2", 3, lambda x, y: (
+            R2[SI[x][y]],
+            map(SIc[y].__getitem__, map(R2[x].__getitem__, Sc[y])))),
+        ("eq3", 3, lambda x, y: (
+            map(Sc[x].__getitem__, map(SI[y].__getitem__, R1[x])),
+            map(getitem, map(SI.__getitem__, map(S[y].__getitem__, R2[x])), elements))),
+        ("eq4", 2, lambda x: (R2[x], map(getitem, R1, S[x]))),
+        ("eq5", 2, lambda x: (
+            map(getitem, map(S.__getitem__, R1[x]), R2[x]),
+            map(getitem, R2, S[x]))),
+        ("eq6", 2, lambda x: (
+            map(getitem, map(S.__getitem__, R3c[x]), R4c[x]),
+            map(getitem, map(R4.__getitem__, S[x]), elements))),
+        ("eq7", 2, lambda x: (R4c[x], map(getitem, map(R3.__getitem__, S[x]), elements))),
+        ("eq8", 3, lambda x, y: (
+            R3[S[y][x]],
+            map(Sc[x].__getitem__, map(R3[y].__getitem__, SIc[x])))),
+        ("eq9", 3, lambda x, y: (
+            map(R4[y].__getitem__, SIc[x]),
+            map(SIc[x].__getitem__, R4[S[y][x]]))),
+        ("eq10", 3, lambda x, y: (
+            map(SIc[y].__getitem__, map(S[x].__getitem__, R4[y])),
+            map(getitem, map(S.__getitem__, map(SI[x].__getitem__, R3[y])), elements))),
+    ))
 
 
 @dataclass(frozen=True)
@@ -294,19 +327,26 @@ class Subset:
         return iter(self.members)
 
 
-def _closure_violation(s: Subset):
-    """First (op, x, y, result) escaping the subset, or None if closed.
+def _defining_rows(X: FiniteStuquandle):
+    """(name, rows) of *, R1, R2, R3 and R4.
 
-    Closure under ~* follows from closure under * on a finite carrier,
-    but it is cheap to check alongside the rest.
+    On a finite carrier a subset closed under * is closed under ~* (each
+    column map of * is injective on it, hence onto it), so closure checks
+    and closures need only these five.
     """
+    return (("*", X.star.rows), ("R1", X.r1.rows), ("R2", X.r2.rows),
+            ("R3", X.r3.rows), ("R4", X.r4.rows))
+
+
+def _closure_violation(s: Subset):
+    """First (op, x, y, result) escaping the subset, or None if closed."""
     inside = set(s.members)
-    for name, op in s.parent.operations().items():
+    for name, rows in _defining_rows(s.parent):
         for x in s.members:
-            for y in s.members:
-                v = op(x, y)
-                if v not in inside:
-                    return (name, x, y, v)
+            row = rows[x]
+            if not inside.issuperset(map(row.__getitem__, s.members)):
+                y = next(y for y in s.members if row[y] not in inside)
+                return (name, x, y, row[y])
     return None
 
 
@@ -319,22 +359,21 @@ def substuquandle_closure(s: Subset) -> Subset:
     """Smallest superset of s closed under the five operations and ~*."""
     if not s.members:
         raise ValueError("closure of an empty subset is undefined")
-    X = s.parent
-    ops = tuple(X.operations().values())
+    tables = [rows for _, rows in _defining_rows(s.parent)]
     inside = set(s.members)
-    frontier = list(s.members)
+    frontier = inside
     while frontier:
-        fresh = []
+        # every product with at least one factor new since the last round
         current = tuple(inside)
-        for op in ops:
+        grown = set(inside)
+        for rows in tables:
             for x in current:
-                for y in frontier:
-                    for v in (op(x, y), op(y, x)):
-                        if v not in inside:
-                            inside.add(v)
-                            fresh.append(v)
-        frontier = fresh
-    return Subset(X, tuple(inside))
+                grown.update(map(rows[x].__getitem__, frontier))
+            for y in frontier:
+                grown.update(map(rows[y].__getitem__, current))
+        frontier = grown - inside
+        inside = grown
+    return Subset(s.parent, tuple(inside))
 
 
 def is_homomorphism(f, X: FiniteStuquandle, Y: FiniteStuquandle) -> bool:

@@ -30,7 +30,6 @@ from .presentation import (
     CrossingDiagram,
     Stuck,
     compile_diagram,
-    counting_invariant,
     enumerate_colorings,
     phi_invariant,
 )
@@ -300,12 +299,10 @@ def verify_fixture(fx: Fixture, workdir) -> list[tuple[str, bool, str]]:
                 continue
             target = key.split(":", 1)[1]
             X = _load_target(target, workdir)
-            colorings = enumerate_colorings(pres, X)
-            check(key, _colorings_json(colorings), want)
-            check(f"counting:{target}", counting_invariant(pres, X),
-                  fx.expected[f"counting:{target}"])
-            check(f"phi:{target}", phi_invariant(pres, X).render(),
-                  fx.expected[f"phi:{target}"])
+            check(key, _colorings_json(enumerate_colorings(pres, X)), want)
+            phi = phi_invariant(pres, X)
+            check(f"counting:{target}", phi.total(), fx.expected[f"counting:{target}"])
+            check(f"phi:{target}", phi.render(), fx.expected[f"phi:{target}"])
 
     path = workdir / f"{fx.id}.json"
     if fx.kind == "stuquandle":

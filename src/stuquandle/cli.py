@@ -87,12 +87,10 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("color", help="enumerate colorings of a presentation")
     p.add_argument("presentation")
     p.add_argument("stuquandle")
-    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("phi", help="print the coloring-image polynomial multiset")
     p.add_argument("presentation")
     p.add_argument("stuquandle")
-    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("compare", help="compare two presentations over one target")
     p.add_argument("left")
@@ -169,7 +167,7 @@ def _run(args, out: list[str], inputs: list) -> int:
     if args.command == "color":
         P = formats.load_presentation(slurp(args.presentation))
         X = formats.load_stuquandle(slurp(args.stuquandle))
-        colorings = enumerate_colorings(P, X, jobs=args.jobs)
+        colorings = enumerate_colorings(P, X)
         for c in colorings:
             out.append(" ".join(str(v) for v in c))
         out.append(f"count {len(colorings)}")
@@ -178,7 +176,7 @@ def _run(args, out: list[str], inputs: list) -> int:
     if args.command == "phi":
         P = formats.load_presentation(slurp(args.presentation))
         X = formats.load_stuquandle(slurp(args.stuquandle))
-        out.append(phi_invariant(P, X, jobs=args.jobs).render())
+        out.append(phi_invariant(P, X).render())
         return 0
 
     if args.command == "compare":
@@ -261,7 +259,11 @@ def main(argv=None) -> int:
             "outputs": out,
             "elapsed_seconds": time.monotonic() - started,
         }
-        Path(args.report).write_text(json.dumps(report, indent=2) + "\n")
+        try:
+            Path(args.report).write_text(json.dumps(report, indent=2) + "\n")
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return _USAGE_EXIT
     return code
 
 

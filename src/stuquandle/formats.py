@@ -15,6 +15,7 @@ failures, bad indices) propagate from the constructors.
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -37,7 +38,8 @@ def _require(obj: dict, key: str, kind, what: str):
     if key not in obj:
         raise FormatError(f"{what} is missing {key!r}")
     value = obj[key]
-    if kind is not None and not isinstance(value, kind):
+    # bool subclasses int, but JSON true/false is never a valid field value
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
         raise FormatError(f"{what} field {key!r} has the wrong type")
     return value
 
@@ -47,9 +49,22 @@ def _int_matrix(value, what: str) -> list[list[int]]:
         raise FormatError(f"{what} must be a list of rows")
     for row in value:
         for v in row:
-            if not isinstance(v, int):
+            if type(v) is not int:
                 raise FormatError(f"{what} must contain integers only")
     return value
+
+
+def _five_int_lists(raw, what: str) -> list[list[int]]:
+    """raw itself, once it is checked to be a list of 5-integer lists.
+
+    Types are exact, so a bool or float element is rejected.  The check runs
+    over the whole list at once because diagrams hold thousands of entries.
+    """
+    if (not isinstance(raw, list) or set(map(type, raw)) - {list}
+            or set(map(len, raw)) - {5}
+            or set(map(type, itertools.chain.from_iterable(raw))) - {int}):
+        raise FormatError(f"each {what} must be a list of 5 integers")
+    return raw
 
 
 def stuquandle_to_dict(X: FiniteStuquandle, name: str = "") -> dict:
@@ -99,9 +114,12 @@ def presentation_from_dict(doc: dict) -> Presentation:
         if op not in OPS:
             raise FormatError(f"unknown relation operation {op!r}")
         relations.append(Relation(out, op, lhs, rhs))
-    names = doc.get("generator_names", ())
+    name, names = doc.get("name", ""), doc.get("generator_names", [])
+    if not (isinstance(name, str) and isinstance(names, list)
+            and all(isinstance(v, str) for v in names)):
+        raise FormatError("presentation name and generator_names must be strings")
     try:
-        return Presentation(count, tuple(relations), name=doc.get("name", ""),
+        return Presentation(count, tuple(relations), name=name,
                             generator_names=tuple(names))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
@@ -126,16 +144,10 @@ def arc_diagram_to_dict(a: ArcDiagram) -> dict:
 def arc_diagram_from_dict(doc: dict) -> ArcDiagram:
     strands = _require(doc, "strands", int, "arc diagram document")
     raw_stripes = _require(doc, "stripes", list, "arc diagram document")
-    stripes = []
-    for item in raw_stripes:
-        if not isinstance(item, list) or len(item) != 5:
-            raise FormatError("each stripe must be a 5-element list")
-        stripes.append(Stripe(*item))
-    classicals = []
-    for item in doc.get("classicals", []):
-        if not isinstance(item, list) or len(item) != 5:
-            raise FormatError("each classical crossing must be a 5-element list")
-        classicals.append(StrandCrossing(*item))
+    stripes = [Stripe(*item) for item in _five_int_lists(raw_stripes, "stripe")]
+    raw_classicals = doc.get("classicals", [])
+    classicals = [StrandCrossing(*item)
+                  for item in _five_int_lists(raw_classicals, "classical crossing")]
     return ArcDiagram(strands, tuple(stripes), tuple(classicals))
 
 

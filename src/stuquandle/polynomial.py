@@ -16,6 +16,7 @@ from .algebra import (
     OperationTable,
     Subset,
     _closure_violation,
+    _defining_rows,
     verify_quandle,
 )
 from .errors import NotClosed
@@ -138,10 +139,6 @@ class Polynomial:
         return " ".join(chunks)
 
 
-def canonical_render(p: Polynomial) -> str:
-    return p.render()
-
-
 _FACTOR_RE = re.compile(r"^([A-Za-z][A-Za-z0-9]*)(?:\^(\d+))?$")
 
 
@@ -197,9 +194,9 @@ class ElementProfile:
 def element_profile(X: FiniteStuquandle, x: int) -> ElementProfile:
     if not 0 <= x < X.n:
         raise ValueError(f"element {x} outside the carrier")
-    ops = (X.star, X.r1, X.r2, X.r3, X.r4)
-    r = tuple(sum(1 for y in range(X.n) if op(x, y) == x) for op in ops)
-    c = tuple(sum(1 for y in range(X.n) if op(y, x) == y) for op in ops)
+    tables = [rows for _, rows in _defining_rows(X)]
+    r = tuple(rows[x].count(x) for rows in tables)
+    c = tuple(sum(1 for y, row in enumerate(rows) if row[x] == y) for rows in tables)
     return ElementProfile(r, c)
 
 
@@ -238,12 +235,11 @@ def quandle_polynomial(table) -> Polynomial:
     """Two-variable polynomial of a plain quandle given by its * table."""
     star = table if isinstance(table, OperationTable) else OperationTable(table)
     verify_quandle(star)
-    n = star.n
+    rows = star.rows
     terms = []
-    for x in range(n):
-        r = sum(1 for y in range(n) if star(x, y) == x)
-        c = sum(1 for y in range(n) if star(y, x) == y)
-        terms.append(((r, c), 1))
+    for x in range(star.n):
+        c = sum(1 for y, row in enumerate(rows) if row[x] == y)
+        terms.append(((rows[x].count(x), c), 1))
     return Polynomial(QP_VARS, terms)
 
 
@@ -290,7 +286,3 @@ class PolynomialMultiset:
             return "0"
         rendered = sorted((p.render(), m) for p, m in self.entries.items())
         return " + ".join(f"{m}*u^{{{text}}}" for text, m in rendered)
-
-
-def phi_render(m: PolynomialMultiset) -> str:
-    return m.render()

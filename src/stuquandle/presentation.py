@@ -8,9 +8,8 @@ with constraint propagation and backtracking.
 
 from __future__ import annotations
 
-import itertools
 import string
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 
 from .algebra import FiniteStuquandle, Subset, substuquandle_closure
@@ -164,7 +163,7 @@ def _op_tables(X: FiniteStuquandle) -> dict:
     }
 
 
-def enumerate_colorings(P: Presentation, X: FiniteStuquandle, jobs: int = 1):
+def enumerate_colorings(P: Presentation, X: FiniteStuquandle):
     """All relation-satisfying assignments, in lexicographic order.
 
     Backtracking over generators in index order; relations whose inputs
@@ -172,25 +171,27 @@ def enumerate_colorings(P: Presentation, X: FiniteStuquandle, jobs: int = 1):
     backwards through the column bijections.
     """
     ops = _op_tables(X)
-    rels = tuple((r.out, ops[r.op], r.op, r.lhs, r.rhs) for r in P.relations)
+    backs = {STAR: X.star_inv.rows, STAR_INV: X.star.rows}
+    rels = tuple(
+        (r.out, ops[r.op].rows, backs.get(r.op), r.lhs, r.rhs) for r in P.relations
+    )
     n = X.n
 
     def propagate(assign: list[int]) -> bool:
         changed = True
         while changed:
             changed = False
-            for out, fn, op, lhs, rhs in rels:
+            for out, rows, back, lhs, rhs in rels:
                 lv, rv, ov = assign[lhs], assign[rhs], assign[out]
                 if lv >= 0 and rv >= 0:
-                    v = fn(lv, rv)
+                    v = rows[lv][rv]
                     if ov < 0:
                         assign[out] = v
                         changed = True
                     elif ov != v:
                         return False
-                elif ov >= 0 and rv >= 0 and op in (STAR, STAR_INV):
-                    back = X.star_inv if op == STAR else X.star
-                    assign[lhs] = back(ov, rv)
+                elif ov >= 0 and rv >= 0 and back is not None:
+                    assign[lhs] = back[ov][rv]
                     changed = True
         return True
 
@@ -207,35 +208,10 @@ def enumerate_colorings(P: Presentation, X: FiniteStuquandle, jobs: int = 1):
                 extend(trial, found)
 
     seed = [-1] * P.generator_count
-    if not propagate(seed):
-        return []
     results: list[tuple[int, ...]] = []
-    if jobs > 1 and seed[0] < 0:
-        def branch(v: int):
-            trial = seed.copy()
-            trial[0] = v
-            chunk: list = []
-            if propagate(trial):
-                extend(trial, chunk)
-            return chunk
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(branch, range(n)):
-                results.extend(chunk)
-    else:
+    if propagate(seed):
         extend(seed, results)
     return sorted(results)
-
-
-def brute_force_colorings(P: Presentation, X: FiniteStuquandle):
-    """Reference enumeration: sweep the full assignment space."""
-    ops = _op_tables(X)
-    rels = tuple((r.out, ops[r.op], r.lhs, r.rhs) for r in P.relations)
-    out = []
-    for assign in itertools.product(range(X.n), repeat=P.generator_count):
-        if all(assign[o] == fn(assign[l], assign[r]) for o, fn, l, r in rels):
-            out.append(assign)
-    return out
 
 
 def counting_invariant(P: Presentation, X: FiniteStuquandle) -> int:
@@ -251,13 +227,17 @@ def coloring_image(coloring, X: FiniteStuquandle) -> Subset:
     return substuquandle_closure(Subset(X, tuple(coloring)))
 
 
-def phi_invariant(P: Presentation, X: FiniteStuquandle, jobs: int = 1) -> PolynomialMultiset:
-    """Multiset of image polynomials, one entry per coloring."""
-    polys = [
-        substuquandle_polynomial(coloring_image(c, X))
-        for c in enumerate_colorings(P, X, jobs=jobs)
-    ]
-    return PolynomialMultiset.from_polynomials(polys)
+def phi_invariant(P: Presentation, X: FiniteStuquandle) -> PolynomialMultiset:
+    """Multiset of image polynomials, one entry per coloring.
+
+    The image depends only on the set of values a coloring takes, so each
+    distinct value set is closed and profiled once.
+    """
+    value_sets = Counter(frozenset(c) for c in enumerate_colorings(P, X))
+    return PolynomialMultiset(
+        (substuquandle_polynomial(coloring_image(values, X)), count)
+        for values, count in value_sets.items()
+    )
 
 
 def add_kink(d: CrossingDiagram, arc: int, sign: int) -> CrossingDiagram:

@@ -20,7 +20,6 @@ from .presentation import (
     Presentation,
     Stuck,
     compile_diagram,
-    counting_invariant,
     phi_invariant,
 )
 
@@ -220,8 +219,5 @@ def folding_invariant(a: ArcDiagram, X: FiniteStuquandle, name: str = "") -> Fol
     """Convert, close, compile, then color by X."""
     closed = self_closure(to_crossing_diagram(a))
     pres = compile_diagram(closed, name=name)
-    return FoldingReport(
-        presentation=pres,
-        counting=counting_invariant(pres, X),
-        phi=phi_invariant(pres, X),
-    )
+    phi = phi_invariant(pres, X)
+    return FoldingReport(presentation=pres, counting=phi.total(), phi=phi)

@@ -58,3 +58,51 @@ def count_profile(X, x):
     r = tuple(sum(1 for y in range(X.n) if rows[x][y] == x) for rows in tables)
     c = tuple(sum(1 for y in range(X.n) if rows[y][x] == y) for rows in tables)
     return r, c
+
+
+def first_violation(n, star, r1, r2, r3, r4):
+    """The first failing check in the verifier's order, from raw row lists.
+
+    Returns ("column", (y,)) for the first non-bijective column of *,
+    (axiom id, witness) for the first failing axiom, or None when all
+    thirteen hold.  ~* is inverted here column by column.
+    """
+    for y in range(n):
+        if sorted(star[x][y] for x in range(n)) != list(range(n)):
+            return ("column", (y,))
+    sinv = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            sinv[star[x][y]][y] = x
+    s, si = star, sinv
+    equations = (
+        # (x * y) * z = (x * z) * (y * z)
+        ("quandle-i", 3, lambda x, y, z: s[s[x][y]][z] == s[s[x][z]][s[y][z]]),
+        # x * x = x
+        ("quandle-iii", 1, lambda x: s[x][x] == x),
+        # R1(x ~* y, z) * y = R1(x, z * y)
+        ("eq1", 3, lambda x, y, z: s[r1[si[x][y]][z]][y] == r1[x][s[z][y]]),
+        # R2(x ~* y, z) = R2(x, z * y) ~* y
+        ("eq2", 3, lambda x, y, z: r2[si[x][y]][z] == si[r2[x][s[z][y]]][y]),
+        # (y ~* R1(x, z)) * x = (y * R2(x, z)) ~* z
+        ("eq3", 3, lambda x, y, z: s[si[y][r1[x][z]]][x] == si[s[y][r2[x][z]]][z]),
+        # R2(x, y) = R1(y, x * y)
+        ("eq4", 2, lambda x, y: r2[x][y] == r1[y][s[x][y]]),
+        # R1(x, y) * R2(x, y) = R2(y, x * y)
+        ("eq5", 2, lambda x, y: s[r1[x][y]][r2[x][y]] == r2[y][s[x][y]]),
+        # R3(y, x) * R4(y, x) = R4(x * y, y)
+        ("eq6", 2, lambda x, y: s[r3[y][x]][r4[y][x]] == r4[s[x][y]][y]),
+        # R4(y, x) = R3(x * y, y)
+        ("eq7", 2, lambda x, y: r4[y][x] == r3[s[x][y]][y]),
+        # R3(y * x, z) = R3(y, z ~* x) * x
+        ("eq8", 3, lambda x, y, z: r3[s[y][x]][z] == s[r3[y][si[z][x]]][x]),
+        # R4(y, z ~* x) = R4(y * x, z) ~* x
+        ("eq9", 3, lambda x, y, z: r4[y][si[z][x]] == si[r4[s[y][x]][z]][x]),
+        # (x * R4(y, z)) ~* y = (x ~* R3(y, z)) * z
+        ("eq10", 3, lambda x, y, z: si[s[x][r4[y][z]]][y] == s[si[x][r3[y][z]]][z]),
+    )
+    for axiom, arity, holds in equations:
+        for witness in itertools.product(range(n), repeat=arity):
+            if not holds(*witness):
+                return (axiom, witness)
+    return None

@@ -1,6 +1,9 @@
 import itertools
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stuquandle import (
     AffineParams,
@@ -215,7 +218,6 @@ def test_size_mismatch_is_never_isomorphic():
 
 def test_affine_family_small_sweep():
     # quick version of the exhaustive acceptance sweep
-    import math
     for n in range(2, 6):
         for a in range(1, n):
             if math.gcd(a, n) != 1:
@@ -223,3 +225,68 @@ def test_affine_family_small_sweep():
             for b in range(n):
                 for e in range(n):
                     affine_stuquandle(AffineParams(n, a, b, e))
+
+
+def _linear(m, p, q):
+    return [[(p * x + q * y) % m for y in range(m)] for x in range(m)]
+
+
+@st.composite
+def _affine_factor(draw, max_m):
+    """Tables of an affine structure on Z_m, m <= max_m, or of a variant
+    whose first failure lies further into the scan: * replaced by a random
+    linear form, or R1 and R3 replaced by random linear forms with R2 and
+    R4 rederived through eq4 and eq7."""
+    m = draw(st.integers(1, max_m))
+    a = draw(st.sampled_from([u for u in range(1, m + 1) if math.gcd(u % m, m) == 1]))
+    b, e, p, q, p2, q2 = draw(st.tuples(*[st.integers(0, m - 1)] * 6))
+    star = _linear(m, a, 1 - a)
+    r1, r2 = _linear(m, b, 1 - b), _linear(m, a * (1 - b), 1 - a * (1 - b))
+    r3, r4 = _linear(m, 1 - e, e), _linear(m, 1 - a * (1 - e), a * (1 - e))
+    variant = draw(st.sampled_from(("affine", "star", "derived")))
+    if variant == "star":
+        star = _linear(m, p, q)
+    elif variant == "derived":
+        r1, r3 = _linear(m, p, q), _linear(m, p2, q2)
+        r2 = [[r1[y][star[x][y]] for y in range(m)] for x in range(m)]
+        r4 = [[r3[star[y][x]][x] for y in range(m)] for x in range(m)]
+    return [star, r1, r2, r3, r4]
+
+
+@st.composite
+def _tables(draw):
+    """Affine or product-of-affine tables with n <= 9, optionally with a few
+    entries overwritten; overwrites favour R1..R4 so that some reach past
+    the quandle checks."""
+    if draw(st.booleans()):
+        tables = draw(_affine_factor(9))
+    else:
+        left, right = draw(_affine_factor(3)), draw(_affine_factor(3))
+        m = len(right[0])
+        size = len(left[0]) * m
+        tables = [
+            [[lt[i // m][j // m] * m + rt[i % m][j % m] for j in range(size)]
+             for i in range(size)]
+            for lt, rt in zip(left, right)
+        ]
+    n = len(tables[0])
+    edits = st.tuples(st.sampled_from((0, 1, 2, 3, 4, 1, 2, 3, 4)), st.integers(0, n - 1),
+                      st.integers(0, n - 1), st.integers(0, n - 1))
+    for k, x, y, v in draw(st.lists(edits, max_size=3)):
+        tables[k][x][y] = v
+    return n, tables
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables())
+def test_first_witness_matches_oracle(case):
+    n, tables = case
+    want = oracles.first_violation(n, *tables)
+    try:
+        build_stuquandle(n, *tables)
+        got = None
+    except NonBijectiveColumn as exc:
+        got = ("column", (exc.column,))
+    except AxiomViolation as exc:
+        got = (exc.axiom, exc.witness)
+    assert got == want

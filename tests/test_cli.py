@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from stuquandle import formats
 from stuquandle.catalog import fixture
 from stuquandle.cli import main
@@ -119,14 +121,6 @@ def test_color_trefoil(tmp_path, capsys):
     ]
 
 
-def test_color_jobs_flag_is_deterministic(tmp_path, capsys):
-    pres = write_presentation(tmp_path, "K1_ex72")
-    target = write_stuquandle(tmp_path, "X_ex72")
-    _, serial, _ = run(capsys, "color", pres, target)
-    _, parallel, _ = run(capsys, "color", pres, target, "--jobs", "3")
-    assert serial == parallel
-
-
 def test_stdout_is_byte_identical_between_runs(tmp_path, capsys):
     pres = write_presentation(tmp_path, "K2_ex72")
     target = write_stuquandle(tmp_path, "X_ex72")
@@ -199,3 +193,28 @@ def test_report_file(tmp_path, capsys):
     assert doc["outputs"] == ["4*s1^4*t1^4*s2*t2*s3^4*t3^4*s4*t4*s5^4*t5^4"]
     assert path in doc["inputs"]
     assert doc["elapsed_seconds"] >= 0
+
+
+def test_unwritable_report_is_exit_one(tmp_path, capsys):
+    path = write_stuquandle(tmp_path, "X2_ex63")
+    report = tmp_path / "missing-dir" / "report.json"
+    code, out, err = run(capsys, "--report", str(report), "poly", path)
+    assert code == 1
+    assert err.startswith("error: cannot write report")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("doc", [
+    {"strands": 1, "stripes": [[0, 0, "a", 30, -1]]},
+    {"strands": True, "stripes": []},
+    {"strands": 1, "stripes": [[0, 0, 1.5, 30, -1]]},
+    {"strands": 1, "stripes": [], "classicals": 5},
+], ids=["string_position", "bool_strands", "float_position", "classicals_not_list"])
+def test_malformed_arc_diagram_is_exit_one(tmp_path, capsys, doc):
+    path = tmp_path / "arc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "rna", "convert", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1

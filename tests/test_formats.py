@@ -53,6 +53,14 @@ def test_bad_relation_op_is_format_error():
         formats.presentation_from_dict(doc)
 
 
+@pytest.mark.parametrize("extra", [
+    {"name": 7}, {"generator_names": 5}, {"generator_names": ["a", 2]},
+])
+def test_non_string_presentation_names_are_format_errors(extra):
+    with pytest.raises(FormatError):
+        formats.presentation_from_dict({"generators": 2, "relations": [], **extra})
+
+
 def test_bad_stripe_arity_is_format_error():
     with pytest.raises(FormatError):
         formats.arc_diagram_from_dict({"strands": 1, "stripes": [[0, 0, 10, 30]]})

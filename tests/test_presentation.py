@@ -1,6 +1,11 @@
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stuquandle import (
+    OPS,
     Classical,
     CrossingDiagram,
     IndexOutOfRange,
@@ -9,7 +14,6 @@ from stuquandle import (
     Stuck,
     Subset,
     add_kink,
-    brute_force_colorings,
     coloring_image,
     compare_invariants,
     compile_diagram,
@@ -117,18 +121,12 @@ def test_enumeration_matches_sweep_oracle():
             X = fixture(sid).payload
             got = enumerate_colorings(pres, X)
             assert got == sorted(oracles.sweep_colorings(pres, X)), (fid, sid)
-            assert got == brute_force_colorings(pres, X), (fid, sid)
 
 
 def test_enumeration_is_lexicographic():
     for fid, pres in catalog_presentations():
         got = enumerate_colorings(pres, X74)
         assert got == sorted(got)
-
-
-def test_enumeration_with_workers_is_identical():
-    for fid, pres in catalog_presentations():
-        assert enumerate_colorings(pres, X71, jobs=3) == enumerate_colorings(pres, X71)
 
 
 def test_colorings_satisfy_relations():
@@ -176,6 +174,32 @@ def test_phi_total_equals_counting():
         for sid in STUQUANDLE_IDS:
             X = fixture(sid).payload
             assert phi_invariant(pres, X).total() == counting_invariant(pres, X)
+
+
+@st.composite
+def _small_presentations(draw):
+    g = draw(st.integers(1, 4))
+    index = st.integers(0, g - 1)
+    rels = draw(st.lists(st.tuples(index, st.sampled_from(OPS), index, index), max_size=5))
+    return Presentation(g, tuple(Relation(*r) for r in rels))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_presentations(), st.sampled_from(STUQUANDLE_IDS))
+def test_phi_matches_per_coloring_oracle(pres, sid):
+    """phi, one image polynomial per coloring, rebuilt from the sweep,
+    closure and profile oracles; a polynomial is compared as its
+    {exponents: coefficient} terms."""
+    X = fixture(sid).payload
+    want = Counter()
+    for coloring in oracles.sweep_colorings(pres, X):
+        terms = Counter()
+        for x in oracles.closure_by_iteration(X, coloring):
+            r, c = oracles.count_profile(X, x)
+            terms[tuple(v for pair in zip(r, c) for v in pair)] += 1
+        want[frozenset(terms.items())] += 1
+    phi = phi_invariant(pres, X)
+    assert {frozenset(p.terms.items()): k for p, k in phi.entries.items()} == want
 
 
 def test_phi_reference_render():
