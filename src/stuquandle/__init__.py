@@ -1,10 +1,10 @@
 """Finite stuquandles, stuck-link coloring invariants, and arc-diagram tools."""
 
 from .algebra import (
+    DEFINING,
     AffineParams,
     AlexanderParams,
     FiniteStuquandle,
-    OperationTable,
     Subset,
     affine_stuquandle,
     alexander_stuquandle,

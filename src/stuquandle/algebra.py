@@ -6,9 +6,10 @@ operations stored as n x n tables, row = first argument, column = second
 argument.  The inverse operation x ~* y (the preimage of x under the
 column-y bijection of *) is always derived, never user supplied.
 
-Tables are held as tuples of row tuples (`OperationTable.rows`), and the
-checks below index those rows and their transposed columns directly:
-T(a, b) is rows[a][b].  The thirteen axioms are
+A table is a tuple of row tuples, so T(a, b) is T[a][b]; the checks below
+index those rows and their transposed columns directly.  The defining
+operations are named once, in DEFINING, in the order of the polynomial
+variable index (1 <-> *, 2 <-> R1, ..., 5 <-> R4).  The thirteen axioms are
 
     columns      every column map x -> x * y is a bijection
     quandle-i    (x * y) * z = (x * z) * (y * z)
@@ -38,67 +39,49 @@ from operator import getitem
 
 from .errors import AxiomViolation, NonBijectiveColumn, NonUnit
 
-
-class OperationTable:
-    """Square table over {0..n-1}; entry [x][y] is the value of op(x, y)."""
-
-    __slots__ = ("n", "rows")
-
-    def __init__(self, rows):
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
-        n = len(rows)
-        if n == 0:
-            raise ValueError("operation table must be non-empty")
-        for row in rows:
-            if len(row) != n:
-                raise ValueError("operation table must be square")
-            for v in row:
-                if not 0 <= v < n:
-                    raise ValueError(f"table entry {v} outside 0..{n - 1}")
-        self.n = n
-        self.rows = rows
-
-    def __call__(self, x: int, y: int) -> int:
-        return self.rows[x][y]
-
-    def __eq__(self, other):
-        return isinstance(other, OperationTable) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return f"OperationTable({[list(r) for r in self.rows]})"
-
-    def column_inverse(self) -> "OperationTable":
-        """Invert every column map x -> T[x][y].
-
-        Raises NonBijectiveColumn(y) on the first column that is not a
-        permutation of the carrier.
-        """
-        n = self.n
-        inv = [[0] * n for _ in range(n)]
-        for y in range(n):
-            seen = [False] * n
-            for x in range(n):
-                v = self.rows[x][y]
-                if seen[v]:
-                    raise NonBijectiveColumn(y)
-                seen[v] = True
-                inv[v][y] = x
-        return OperationTable(inv)
+DEFINING = ("*", "R1", "R2", "R3", "R4")
 
 
-def table_from(n: int, fn) -> OperationTable:
-    """Tabulate fn(x, y) mod n over the carrier {0..n-1}."""
-    return OperationTable([[fn(x, y) % n for y in range(n)] for x in range(n)])
+def _square_rows(table, n=None):
+    """table as a tuple of row tuples, checked to be a non-empty square
+    table over {0..size-1} and, when n is given, to be n x n."""
+    rows = tuple(tuple(int(v) for v in row) for row in table)
+    size = len(rows)
+    if size == 0:
+        raise ValueError("operation table must be non-empty")
+    for row in rows:
+        if len(row) != size:
+            raise ValueError("operation table must be square")
+        for v in row:
+            if not 0 <= v < size:
+                raise ValueError(f"table entry {v} outside 0..{size - 1}")
+    if n is not None and size != n:
+        raise ValueError(f"expected a {n}x{n} table, got {size}x{size}")
+    return rows
 
 
-def _as_table(n: int, table) -> OperationTable:
-    t = table if isinstance(table, OperationTable) else OperationTable(table)
-    if t.n != n:
-        raise ValueError(f"expected a {n}x{n} table, got {t.n}x{t.n}")
-    return t
+def column_inverse(rows):
+    """Invert every column map x -> rows[x][y].
+
+    Raises NonBijectiveColumn(y) on the first column that is not a
+    permutation of the carrier.
+    """
+    n = len(rows)
+    inv = [[0] * n for _ in range(n)]
+    for y in range(n):
+        seen = [False] * n
+        for x in range(n):
+            v = rows[x][y]
+            if seen[v]:
+                raise NonBijectiveColumn(y)
+            seen[v] = True
+            inv[v][y] = x
+    return tuple(map(tuple, inv))
+
+
+def table_from(n: int, fn):
+    """Tabulate fn(x, y) mod n over the carrier {0..n-1} as row tuples."""
+    return tuple(tuple(fn(x, y) % n for y in range(n)) for x in range(n))
 
 
 def _scan(n: int, axioms) -> None:
@@ -117,16 +100,15 @@ def _scan(n: int, axioms) -> None:
                 raise AxiomViolation(axiom, prefix + (last,))
 
 
-def verify_quandle(star: OperationTable) -> OperationTable:
-    """Check quandle axioms for *, returning the derived ~* table.
+def verify_quandle(S):
+    """Check quandle axioms for the * rows S, returning the derived ~* rows.
 
     Column bijectivity is checked first (it is structural: ~* needs it),
     then right distributivity, then idempotency.
     """
-    star_inv = star.column_inverse()
-    S = star.rows
-    elements = range(star.n)
-    _scan(star.n, (
+    star_inv = column_inverse(S)
+    elements = range(len(S))
+    _scan(len(S), (
         ("quandle-i", 3, lambda x, y: (
             S[S[x][y]], map(getitem, map(S.__getitem__, S[x]), S[y]))),
         ("quandle-iii", 1, lambda: (map(getitem, S, elements), elements)),
@@ -134,13 +116,12 @@ def verify_quandle(star: OperationTable) -> OperationTable:
     return star_inv
 
 
-def _verify_stuquandle(star, sinv, r1, r2, r3, r4):
+def _verify_stuquandle(S, SI, R1, R2, R3, R4):
     """Check eq1..eq10 in order; the sides are composed from rows (T[a])
     and columns (Tc[b]) so that T(a, b) = T[a][b] = Tc[b][a]."""
-    S, SI, R1, R2, R3, R4 = (t.rows for t in (star, sinv, r1, r2, r3, r4))
     Sc, SIc, R3c, R4c = (tuple(zip(*t)) for t in (S, SI, R3, R4))
-    elements = range(star.n)
-    _scan(star.n, (
+    elements = range(len(S))
+    _scan(len(S), (
         ("eq1", 3, lambda x, y: (
             map(Sc[y].__getitem__, R1[SI[x][y]]),
             map(R1[x].__getitem__, Sc[y]))),
@@ -172,30 +153,32 @@ def _verify_stuquandle(star, sinv, r1, r2, r3, r4):
 
 @dataclass(frozen=True)
 class FiniteStuquandle:
-    """A validated finite stuquandle; immutable after construction."""
+    """A validated finite stuquandle, built by build_stuquandle; immutable.
+
+    Each table is a tuple of row tuples: x * y is star[x][y].
+    """
 
     n: int
-    star: OperationTable
-    star_inv: OperationTable
-    r1: OperationTable
-    r2: OperationTable
-    r3: OperationTable
-    r4: OperationTable
+    star: tuple
+    star_inv: tuple
+    r1: tuple
+    r2: tuple
+    r3: tuple
+    r4: tuple
 
     @property
-    def elements(self) -> range:
-        return range(self.n)
+    def defining(self) -> tuple:
+        """The rows of the operations named in DEFINING, in that order.
 
-    def operations(self) -> dict[str, OperationTable]:
-        """The five defining operations plus the derived ~*."""
-        return {
-            "*": self.star,
-            "~*": self.star_inv,
-            "R1": self.r1,
-            "R2": self.r2,
-            "R3": self.r3,
-            "R4": self.r4,
-        }
+        On a finite carrier a subset closed under * is closed under ~* (each
+        column map of * is injective on it, hence onto it), so closure checks
+        and closures need only these five.
+        """
+        return (self.star, self.r1, self.r2, self.r3, self.r4)
+
+    def operations(self) -> dict[str, tuple]:
+        """Name -> rows of the five defining operations and the derived ~*."""
+        return {**dict(zip(DEFINING, self.defining)), "~*": self.star_inv}
 
     def relabel(self, sigma) -> "FiniteStuquandle":
         """Transport the structure along a bijection of the carrier."""
@@ -203,17 +186,14 @@ class FiniteStuquandle:
         if sorted(sigma) != list(range(self.n)):
             raise ValueError("relabeling must be a bijection of the carrier")
 
-        def moved(t: OperationTable) -> list[list[int]]:
+        def moved(rows) -> list[list[int]]:
             out = [[0] * self.n for _ in range(self.n)]
-            for x in range(self.n):
-                for y in range(self.n):
-                    out[sigma[x]][sigma[y]] = sigma[t(x, y)]
+            for x, row in enumerate(rows):
+                for y, v in enumerate(row):
+                    out[sigma[x]][sigma[y]] = sigma[v]
             return out
 
-        return build_stuquandle(
-            self.n, moved(self.star), moved(self.r1), moved(self.r2),
-            moved(self.r3), moved(self.r4),
-        )
+        return build_stuquandle(self.n, *map(moved, self.defining))
 
 
 def build_stuquandle(n: int, star, r1, r2, r3, r4) -> FiniteStuquandle:
@@ -222,8 +202,7 @@ def build_stuquandle(n: int, star, r1, r2, r3, r4) -> FiniteStuquandle:
     All thirteen axioms (quandle i-iii plus eq1..eq10) are checked
     exhaustively; the first failure is reported with its witness.
     """
-    star = _as_table(n, star)
-    r1, r2, r3, r4 = (_as_table(n, t) for t in (r1, r2, r3, r4))
+    star, r1, r2, r3, r4 = (_square_rows(t, n) for t in (star, r1, r2, r3, r4))
     star_inv = verify_quandle(star)
     _verify_stuquandle(star, star_inv, r1, r2, r3, r4)
     return FiniteStuquandle(n, star, star_inv, r1, r2, r3, r4)
@@ -327,21 +306,10 @@ class Subset:
         return iter(self.members)
 
 
-def _defining_rows(X: FiniteStuquandle):
-    """(name, rows) of *, R1, R2, R3 and R4.
-
-    On a finite carrier a subset closed under * is closed under ~* (each
-    column map of * is injective on it, hence onto it), so closure checks
-    and closures need only these five.
-    """
-    return (("*", X.star.rows), ("R1", X.r1.rows), ("R2", X.r2.rows),
-            ("R3", X.r3.rows), ("R4", X.r4.rows))
-
-
 def _closure_violation(s: Subset):
     """First (op, x, y, result) escaping the subset, or None if closed."""
     inside = set(s.members)
-    for name, rows in _defining_rows(s.parent):
+    for name, rows in zip(DEFINING, s.parent.defining):
         for x in s.members:
             row = rows[x]
             if not inside.issuperset(map(row.__getitem__, s.members)):
@@ -359,7 +327,7 @@ def substuquandle_closure(s: Subset) -> Subset:
     """Smallest superset of s closed under the five operations and ~*."""
     if not s.members:
         raise ValueError("closure of an empty subset is undefined")
-    tables = [rows for _, rows in _defining_rows(s.parent)]
+    tables = s.parent.defining
     inside = set(s.members)
     frontier = inside
     while frontier:
@@ -381,12 +349,10 @@ def is_homomorphism(f, X: FiniteStuquandle, Y: FiniteStuquandle) -> bool:
     f = tuple(f)
     if len(f) != X.n or any(not 0 <= v < Y.n for v in f):
         return False
-    pairs = (
-        (X.star, Y.star), (X.r1, Y.r1), (X.r2, Y.r2), (X.r3, Y.r3), (X.r4, Y.r4),
-    )
+    pairs = tuple(zip(X.defining, Y.defining))
     for x, y in itertools.product(range(X.n), repeat=2):
         for opx, opy in pairs:
-            if f[opx(x, y)] != opy(f[x], f[y]):
+            if f[opx[x][y]] != opy[f[x]][f[y]]:
                 return False
     return True
 
@@ -409,9 +375,7 @@ def is_isomorphic(X: FiniteStuquandle, Y: FiniteStuquandle):
     candidates = [
         tuple(y for y in range(Y.n) if py[y] == px[x]) for x in range(X.n)
     ]
-    pairs = (
-        (X.star, Y.star), (X.r1, Y.r1), (X.r2, Y.r2), (X.r3, Y.r3), (X.r4, Y.r4),
-    )
+    pairs = tuple(zip(X.defining, Y.defining))
 
     f = [-1] * X.n
     used = [False] * Y.n
@@ -421,8 +385,8 @@ def is_isomorphic(X: FiniteStuquandle, Y: FiniteStuquandle):
         for j in range(i + 1):
             for opx, opy in pairs:
                 for a, b in ((i, j), (j, i)):
-                    k = opx(a, b)
-                    if f[k] >= 0 and f[k] != opy(f[a], f[b]):
+                    k = opx[a][b]
+                    if f[k] >= 0 and f[k] != opy[f[a]][f[b]]:
                         return False
         return True
 

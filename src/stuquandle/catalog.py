@@ -170,6 +170,12 @@ _TREFOIL_RELATIONS = (
     (3, "R4", 0, 2),
 )
 
+# Converted and self-closed arc fixtures: (generators, relations in order).
+_ARC_PRESENTATIONS = {
+    "rna_K1_ex74": (3, ((2, "R3", 0, 1), (0, "R4", 0, 1), (1, "~*", 2, 0))),
+    "rna_K2_ex74": (3, ((2, "R3", 0, 1), (1, "R4", 0, 1), (0, "~*", 2, 1))),
+}
+
 
 def _monomial(profiles, x: int) -> tuple[int, ...]:
     r, c = profiles[x]
@@ -232,11 +238,12 @@ def _presentation_fixture(fid: str) -> Fixture:
 
 
 def _arc_fixture(fid: str) -> Fixture:
-    arc = _ARC_DIAGRAMS[fid]
-    closed = self_closure(to_crossing_diagram(arc))
+    generators, relations = _ARC_PRESENTATIONS[fid]
     expected = _diagram_expected(fid)
-    expected["presentation"] = formats.presentation_to_dict(compile_diagram(closed))
-    return Fixture(fid, "arc_diagram", arc, expected)
+    expected["presentation"] = {"generators": generators, "relations": [
+        {"out": out, "op": op, "lhs": lhs, "rhs": rhs} for out, op, lhs, rhs in relations
+    ]}
+    return Fixture(fid, "arc_diagram", _ARC_DIAGRAMS[fid], expected)
 
 
 def _build_catalog() -> dict[str, Fixture]:

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 malformed input or usage error, 2 axiom or
-closure violation (with a witness on stderr), 3 unknown fixture.
+closure violation (with a witness on stderr), 3 unknown fixture; each
+error class in `errors` declares its own code.
 Identical invocations produce byte-identical stdout; the optional
 --report file additionally records inputs digest and timing.
 """
@@ -18,17 +19,7 @@ from pathlib import Path
 
 from . import catalog, formats
 from .algebra import AffineParams, AlexanderParams, Subset, affine_stuquandle, alexander_stuquandle
-from .errors import (
-    AxiomViolation,
-    DanglingEnd,
-    FormatError,
-    IndexOutOfRange,
-    MalformedStripe,
-    NonBijectiveColumn,
-    NonUnit,
-    NotClosed,
-    UnknownFixture,
-)
+from .errors import FormatError, StuquandleError
 from .polynomial import stuquandle_polynomial, substuquandle_polynomial
 from .presentation import (
     compare_invariants,
@@ -40,7 +31,6 @@ from .rna import folding_invariant, self_closure, to_crossing_diagram
 
 _USAGE_EXIT = 1
 _VIOLATION_EXIT = 2
-_FIXTURE_EXIT = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,11 +38,7 @@ class _Parser(argparse.ArgumentParser):
     # axiom violations, so remap usage problems to exit 1
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit1(message)
-
-
-class SystemExit1(Exception):
-    pass
+        raise FormatError(message)
 
 
 def _build_parser() -> _Parser:
@@ -236,18 +222,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         code = _run(args, out, inputs)
-    except SystemExit1 as exc:
+    except (StuquandleError, ValueError) as exc:
+        # each package error names its own exit code; a plain ValueError is 1
         print(f"error: {exc}", file=sys.stderr)
-        return _USAGE_EXIT
-    except UnknownFixture as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _FIXTURE_EXIT
-    except (AxiomViolation, NonBijectiveColumn, NotClosed, NonUnit) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _VIOLATION_EXIT
-    except (FormatError, MalformedStripe, DanglingEnd, IndexOutOfRange, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _USAGE_EXIT
+        return getattr(exc, "exit_code", _USAGE_EXIT)
 
     text = "\n".join(out)
     if text:

@@ -2,11 +2,19 @@
 
 
 class StuquandleError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    exit_code is the CLI's exit status for the error: 1 for malformed
+    input, 2 for an axiom or closure violation, 3 for an unknown fixture.
+    """
+
+    exit_code = 1
 
 
 class NonBijectiveColumn(StuquandleError):
     """Some column of the * table is not a permutation of the carrier."""
+
+    exit_code = 2
 
     def __init__(self, column: int):
         self.column = column
@@ -20,6 +28,8 @@ class AxiomViolation(StuquandleError):
     length 1 for idempotency, 2 for the pair axioms and 3 otherwise.
     """
 
+    exit_code = 2
+
     def __init__(self, axiom: str, witness: tuple):
         self.axiom = axiom
         self.witness = tuple(witness)
@@ -30,6 +40,8 @@ class AxiomViolation(StuquandleError):
 class NonUnit(StuquandleError):
     """A coefficient that must be invertible mod n is not."""
 
+    exit_code = 2
+
     def __init__(self, value: int, modulus: int):
         self.value = value
         self.modulus = modulus
@@ -38,6 +50,8 @@ class NonUnit(StuquandleError):
 
 class NotClosed(StuquandleError):
     """A subset is not closed under the five operations."""
+
+    exit_code = 2
 
     def __init__(self, members, op: str, x: int, y: int, result: int):
         self.members = tuple(members)
@@ -62,6 +76,8 @@ class DanglingEnd(StuquandleError):
 
 class UnknownFixture(StuquandleError):
     """No catalog entry with the requested id."""
+
+    exit_code = 3
 
     def __init__(self, fixture_id: str):
         self.fixture_id = fixture_id

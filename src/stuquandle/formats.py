@@ -67,13 +67,16 @@ def _five_int_lists(raw, what: str) -> list[list[int]]:
     return raw
 
 
+# the file key of each operation in algebra.DEFINING, in that order
+TABLE_KEYS = ("star", "r1", "r2", "r3", "r4")
+
+
 def stuquandle_to_dict(X: FiniteStuquandle, name: str = "") -> dict:
     doc = {"n": X.n}
     if name:
         doc = {"name": name, "n": X.n}
-    for key, table in (("star", X.star), ("r1", X.r1), ("r2", X.r2),
-                       ("r3", X.r3), ("r4", X.r4)):
-        doc[key] = [list(row) for row in table.rows]
+    for key, rows in zip(TABLE_KEYS, X.defining):
+        doc[key] = [list(row) for row in rows]
     return doc
 
 
@@ -81,7 +84,7 @@ def stuquandle_from_dict(doc: dict) -> FiniteStuquandle:
     n = _require(doc, "n", int, "stuquandle document")
     tables = [
         _int_matrix(_require(doc, key, list, "stuquandle document"), key)
-        for key in ("star", "r1", "r2", "r3", "r4")
+        for key in TABLE_KEYS
     ]
     try:
         return build_stuquandle(n, *tables)

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 from .algebra import (
     FiniteStuquandle,
-    OperationTable,
     Subset,
     _closure_violation,
-    _defining_rows,
+    _square_rows,
     verify_quandle,
 )
 from .errors import NotClosed
@@ -194,9 +193,8 @@ class ElementProfile:
 def element_profile(X: FiniteStuquandle, x: int) -> ElementProfile:
     if not 0 <= x < X.n:
         raise ValueError(f"element {x} outside the carrier")
-    tables = [rows for _, rows in _defining_rows(X)]
-    r = tuple(rows[x].count(x) for rows in tables)
-    c = tuple(sum(1 for y, row in enumerate(rows) if row[x] == y) for rows in tables)
+    r = tuple(rows[x].count(x) for rows in X.defining)
+    c = tuple(sum(1 for y, row in enumerate(rows) if row[x] == y) for rows in X.defining)
     return ElementProfile(r, c)
 
 
@@ -233,11 +231,10 @@ def substuquandle_polynomial(S: Subset) -> Polynomial:
 
 def quandle_polynomial(table) -> Polynomial:
     """Two-variable polynomial of a plain quandle given by its * table."""
-    star = table if isinstance(table, OperationTable) else OperationTable(table)
-    verify_quandle(star)
-    rows = star.rows
+    rows = _square_rows(table)
+    verify_quandle(rows)
     terms = []
-    for x in range(star.n):
+    for x in range(len(rows)):
         c = sum(1 for y, row in enumerate(rows) if row[x] == y)
         terms.append(((rows[x].count(x), c), 1))
     return Polynomial(QP_VARS, terms)

@@ -12,16 +12,12 @@ import string
 from collections import Counter
 from dataclasses import dataclass
 
-from .algebra import FiniteStuquandle, Subset, substuquandle_closure
+from .algebra import DEFINING, FiniteStuquandle, Subset, substuquandle_closure
 from .errors import IndexOutOfRange
 from .polynomial import PolynomialMultiset, substuquandle_polynomial
 
-STAR = "*"
+STAR, R1, R2, R3, R4 = DEFINING
 STAR_INV = "~*"
-R1 = "R1"
-R2 = "R2"
-R3 = "R3"
-R4 = "R4"
 OPS = (STAR, STAR_INV, R1, R2, R3, R4)
 
 
@@ -156,24 +152,18 @@ def compile_diagram(d: CrossingDiagram, name: str = "") -> Presentation:
     return Presentation(d.arc_count, tuple(relations), name=name)
 
 
-def _op_tables(X: FiniteStuquandle) -> dict:
-    return {
-        STAR: X.star, STAR_INV: X.star_inv,
-        R1: X.r1, R2: X.r2, R3: X.r3, R4: X.r4,
-    }
-
-
 def enumerate_colorings(P: Presentation, X: FiniteStuquandle):
     """All relation-satisfying assignments, in lexicographic order.
 
-    Backtracking over generators in index order; relations whose inputs
-    are decided determine their output, and * / ~* relations propagate
-    backwards through the column bijections.
+    Depth-first search that branches on the lowest undecided generator,
+    trying its values in increasing order, so colorings come out already
+    sorted; relations whose inputs are decided determine their output, and
+    * / ~* relations propagate backwards through the column bijections.
     """
-    ops = _op_tables(X)
-    backs = {STAR: X.star_inv.rows, STAR_INV: X.star.rows}
+    ops = X.operations()
+    backs = {STAR: X.star_inv, STAR_INV: X.star}
     rels = tuple(
-        (r.out, ops[r.op].rows, backs.get(r.op), r.lhs, r.rhs) for r in P.relations
+        (r.out, ops[r.op], backs.get(r.op), r.lhs, r.rhs) for r in P.relations
     )
     n = X.n
 
@@ -195,23 +185,22 @@ def enumerate_colorings(P: Presentation, X: FiniteStuquandle):
                     changed = True
         return True
 
-    def extend(assign: list[int], found: list):
+    seed = [-1] * P.generator_count
+    stack = [seed] if propagate(seed) else []
+    results: list[tuple[int, ...]] = []
+    while stack:
+        assign = stack.pop()
         try:
             i = assign.index(-1)
         except ValueError:
-            found.append(tuple(assign))
-            return
-        for v in range(n):
+            results.append(tuple(assign))
+            continue
+        for v in reversed(range(n)):
             trial = assign.copy()
             trial[i] = v
             if propagate(trial):
-                extend(trial, found)
-
-    seed = [-1] * P.generator_count
-    results: list[tuple[int, ...]] = []
-    if propagate(seed):
-        extend(seed, results)
-    return sorted(results)
+                stack.append(trial)
+    return results
 
 
 def counting_invariant(P: Presentation, X: FiniteStuquandle) -> int:

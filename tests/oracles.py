@@ -18,7 +18,7 @@ OP_TABLES = {
 
 def sweep_colorings(pres, X):
     """Full |X|^g sweep, keeping assignments that satisfy every relation."""
-    rels = [(r.out, OP_TABLES[r.op](X).rows, r.lhs, r.rhs) for r in pres.relations]
+    rels = [(r.out, OP_TABLES[r.op](X), r.lhs, r.rhs) for r in pres.relations]
     found = []
     for assign in itertools.product(range(X.n), repeat=pres.generator_count):
         if all(assign[out] == rows[assign[lhs]][assign[rhs]] for out, rows, lhs, rhs in rels):
@@ -29,7 +29,7 @@ def sweep_colorings(pres, X):
 def closure_by_iteration(X, seed):
     """Grow a subset to a fixpoint under all six operations."""
     members = set(seed)
-    tables = [fn(X).rows for fn in OP_TABLES.values()]
+    tables = [fn(X) for fn in OP_TABLES.values()]
     while True:
         grown = set(members)
         for rows in tables:
@@ -44,7 +44,7 @@ def closure_by_iteration(X, seed):
 def is_closed(X, members):
     members = set(members)
     for fn in OP_TABLES.values():
-        rows = fn(X).rows
+        rows = fn(X)
         for x in members:
             for y in members:
                 if rows[x][y] not in members:
@@ -54,7 +54,7 @@ def is_closed(X, members):
 
 def count_profile(X, x):
     """(r, c) count vectors straight from the five tables."""
-    tables = [X.star.rows, X.r1.rows, X.r2.rows, X.r3.rows, X.r4.rows]
+    tables = [X.star, X.r1, X.r2, X.r3, X.r4]
     r = tuple(sum(1 for y in range(X.n) if rows[x][y] == x) for rows in tables)
     c = tuple(sum(1 for y in range(X.n) if rows[y][x] == y) for rows in tables)
     return r, c

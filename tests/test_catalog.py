@@ -27,11 +27,11 @@ def test_unknown_fixture_raises():
 
 def test_x74_payload_tables():
     X = fixture("X_ex74").payload
-    assert X.star.rows == ((0, 0, 0, 0), (1, 1, 1, 1), (2, 2, 2, 2), (3, 3, 3, 3))
-    assert X.r1.rows == ((0, 1, 2, 3), (3, 0, 1, 2), (2, 3, 0, 1), (1, 2, 3, 0))
-    assert X.r2.rows == ((0, 3, 2, 1), (1, 0, 3, 2), (2, 1, 0, 3), (3, 2, 1, 0))
-    assert X.r3.rows == ((0, 2, 0, 2), (1, 3, 1, 3), (2, 0, 2, 0), (3, 1, 3, 1))
-    assert X.r4.rows == ((0, 1, 2, 3), (2, 3, 0, 1), (0, 1, 2, 3), (2, 3, 0, 1))
+    assert X.star == ((0, 0, 0, 0), (1, 1, 1, 1), (2, 2, 2, 2), (3, 3, 3, 3))
+    assert X.r1 == ((0, 1, 2, 3), (3, 0, 1, 2), (2, 3, 0, 1), (1, 2, 3, 0))
+    assert X.r2 == ((0, 3, 2, 1), (1, 0, 3, 2), (2, 1, 0, 3), (3, 2, 1, 0))
+    assert X.r3 == ((0, 2, 0, 2), (1, 3, 1, 3), (2, 0, 2, 0), (3, 1, 3, 1))
+    assert X.r4 == ((0, 1, 2, 3), (2, 3, 0, 1), (0, 1, 2, 3), (2, 3, 0, 1))
 
 
 def test_k1_expected_coloring_set():

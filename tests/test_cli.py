@@ -218,3 +218,60 @@ def test_malformed_arc_diagram_is_exit_one(tmp_path, capsys, doc):
     assert out == ""
     assert err.startswith("error: ")
     assert len(err.splitlines()) == 1
+
+
+def test_color_many_free_generators(tmp_path, capsys):
+    pres = tmp_path / "free.json"
+    pres.write_text(json.dumps({"generators": 3000, "relations": []}))
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps({"n": 1, "star": [[0]], "r1": [[0]], "r2": [[0]],
+                               "r3": [[0]], "r4": [[0]]}))
+    code, out, err = run(capsys, "color", str(pres), str(one))
+    assert code == 0
+    assert out.splitlines() == [" ".join(["0"] * 3000), "count 1"]
+    assert err == ""
+
+
+def _doc_file(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return str(path)
+
+
+_IDENTITY2 = [[0, 0], [1, 1]]
+
+
+@pytest.mark.parametrize("case", [
+    ("FormatError", 1, "not valid JSON",
+     lambda tmp: ["verify", _doc_file(tmp, "X.json", "{not json")]),
+    ("IndexOutOfRange", 1, "generator index 5",
+     lambda tmp: ["color", _doc_file(tmp, "P.json", {
+         "generators": 2, "relations": [{"out": 5, "op": "*", "lhs": 0, "rhs": 1}]}),
+         write_stuquandle(tmp, "X_ex71")]),
+    ("MalformedStripe", 1, "missing strand",
+     lambda tmp: ["rna", "convert", _doc_file(tmp, "arc.json", {
+         "strands": 1, "stripes": [[0, 3, 10, 30, -1]]})]),
+    ("ValueError", 1, "modulus must be positive",
+     lambda tmp: ["make", "affine", "--n", "0", "--a", "1", "--b", "0", "--e", "0"]),
+    ("NonBijectiveColumn", 2, "not a bijection",
+     lambda tmp: ["verify", _doc_file(tmp, "X.json", {
+         "n": 2, "star": [[0, 0], [0, 1]], "r1": _IDENTITY2, "r2": _IDENTITY2,
+         "r3": _IDENTITY2, "r4": _IDENTITY2})]),
+    ("AxiomViolation", 2, "axiom quandle-iii fails",
+     lambda tmp: ["verify", _doc_file(tmp, "X.json", {
+         "n": 2, "star": [[1, 1], [0, 0]], "r1": _IDENTITY2, "r2": _IDENTITY2,
+         "r3": _IDENTITY2, "r4": _IDENTITY2})]),
+    ("NonUnit", 2, "not invertible",
+     lambda tmp: ["make", "affine", "--n", "4", "--a", "2", "--b", "0", "--e", "0"]),
+    ("NotClosed", 2, "not closed",
+     lambda tmp: ["subpoly", write_stuquandle(tmp, "X_ex71"), "--subset", "1"]),
+    ("UnknownFixture", 3, "unknown fixture",
+     lambda tmp: ["catalog", "show", "missing"]),
+], ids=lambda case: case[0])
+def test_error_class_exit_codes(tmp_path, capsys, case):
+    _, exit_code, message, argv = case
+    code, out, err = run(capsys, *argv(tmp_path))
+    assert code == exit_code
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1

@@ -25,7 +25,6 @@ from stuquandle import (
     build_stuquandle,
 )
 from stuquandle.catalog import fixture, list_fixtures
-from stuquandle.presentation import _op_tables
 from stuquandle.rna import self_closure, to_crossing_diagram
 
 import oracles
@@ -131,10 +130,10 @@ def test_enumeration_is_lexicographic():
 
 def test_colorings_satisfy_relations():
     for fid, pres in catalog_presentations():
-        ops = _op_tables(X72)
+        ops = X72.operations()
         for c in enumerate_colorings(pres, X72):
             for rel in pres.relations:
-                assert c[rel.out] == ops[rel.op](c[rel.lhs], c[rel.rhs])
+                assert c[rel.out] == ops[rel.op][c[rel.lhs]][c[rel.rhs]]
 
 
 def test_one_element_target_has_one_coloring():
