@@ -2,9 +2,11 @@
 
 Each fixture carries its payload plus a dictionary of expected results in
 JSON-ready form; the golden sweep recomputes every expectation through the
-file formats and compares exactly.  Diagram encodings whose source
-pictures are ambiguous are pinned by their coloring sets, which the sweep
-re-checks against a full brute-force enumeration in the test suite.
+file formats and compares exactly.  The expected values are frozen
+literals: no package code computes them, so a fault anywhere on the path
+from file to rendered invariant shows up as a failed check.  Diagram
+encodings whose source pictures are ambiguous are pinned by their
+coloring sets.
 """
 
 from __future__ import annotations
@@ -15,16 +17,7 @@ from pathlib import Path
 from . import formats
 from .algebra import Subset, build_stuquandle, table_from
 from .errors import UnknownFixture
-from .polynomial import (
-    STU_VARS,
-    ElementProfile,
-    Polynomial,
-    PolynomialMultiset,
-    element_profile,
-    profile_exponents,
-    stuquandle_polynomial,
-    substuquandle_polynomial,
-)
+from .polynomial import element_profile, stuquandle_polynomial, substuquandle_polynomial
 from .presentation import (
     Classical,
     CrossingDiagram,
@@ -87,29 +80,6 @@ _STUQUANDLES = {
     ),
 }
 
-# Frozen per-element (r, c) count tables for every reference structure.
-_PROFILES = {
-    "X1_ex63": (((2, 1, 4, 2, 1), (2, 1, 4, 2, 1)),) * 4,
-    "X2_ex63": (((4, 1, 4, 1, 4), (4, 1, 4, 1, 4)),) * 4,
-    "X_ex71": (
-        ((2, 2, 1, 4, 1), (2, 4, 1, 2, 1)),
-        ((2, 2, 1, 0, 1), (2, 0, 1, 2, 1)),
-        ((2, 2, 1, 4, 1), (2, 4, 1, 2, 1)),
-        ((2, 2, 1, 0, 1), (2, 0, 1, 2, 1)),
-    ),
-    "X_ex72": (
-        ((3, 1, 3, 3, 2), (3, 1, 2, 2, 1)),
-        ((3, 0, 0, 3, 1), (3, 1, 2, 2, 1)),
-        ((3, 2, 3, 0, 0), (3, 1, 2, 2, 1)),
-    ),
-    "X_ex74": (
-        ((4, 1, 1, 2, 1), (4, 2, 4, 4, 1)),
-        ((4, 1, 1, 2, 1), (4, 0, 0, 0, 1)),
-        ((4, 1, 1, 2, 1), (4, 2, 0, 4, 1)),
-        ((4, 1, 1, 2, 1), (4, 0, 0, 0, 1)),
-    ),
-}
-
 _DIAGRAMS = {
     "unknot": CrossingDiagram(1),
     "infinity_0_1_k_plus": CrossingDiagram(2, (Stuck(1, 0, 1, 0, 1),)),
@@ -135,131 +105,136 @@ _ARC_DIAGRAMS = {
     ),
 }
 
-# Coloring sets, per (diagram fixture, target structure).
-_COLORINGS = {
-    ("unknot", "X_ex71"): ((0,), (1,), (2,), (3,)),
-    ("infinity_0_1_k_plus", "X_ex71"): ((0, 0), (0, 2), (2, 0), (2, 2)),
-    ("trefoil_2_1_k_minus", "X_ex71"): (
-        (0, 0, 0, 0), (1, 3, 3, 1), (2, 2, 2, 2), (3, 1, 1, 3),
-    ),
-    ("K1_ex72", "X_ex72"): (
-        (0, 0, 0, 0), (0, 1, 0, 1), (1, 0, 1, 0), (1, 1, 1, 1),
-    ),
-    ("K2_ex72", "X_ex72"): (
-        (0, 0, 0, 0), (0, 2, 0, 2), (2, 0, 2, 0), (2, 2, 2, 2),
-    ),
-    ("rna_K1_ex74", "X_ex74"): ((0, 0, 0), (1, 3, 3), (2, 2, 2), (3, 1, 1)),
-    ("rna_K2_ex74", "X_ex74"): ((0, 0, 0), (0, 2, 0), (2, 0, 2), (2, 2, 2)),
+# Expected results per fixture, frozen from the paper's worked examples;
+# the sweep recomputes each one through the file formats.
+_EXPECTED = {
+    "X1_ex63": {
+        "profiles": [
+            [[2, 1, 4, 2, 1], [2, 1, 4, 2, 1]],
+            [[2, 1, 4, 2, 1], [2, 1, 4, 2, 1]],
+            [[2, 1, 4, 2, 1], [2, 1, 4, 2, 1]],
+            [[2, 1, 4, 2, 1], [2, 1, 4, 2, 1]],
+        ],
+        "stqp": "4*s1^2*t1^2*s2*t2*s3^4*t3^4*s4^2*t4^2*s5*t5",
+        "sstqp:1,3": "2*s1^2*t1^2*s2*t2*s3^4*t3^4*s4^2*t4^2*s5*t5",
+    },
+    "X2_ex63": {
+        "profiles": [
+            [[4, 1, 4, 1, 4], [4, 1, 4, 1, 4]],
+            [[4, 1, 4, 1, 4], [4, 1, 4, 1, 4]],
+            [[4, 1, 4, 1, 4], [4, 1, 4, 1, 4]],
+            [[4, 1, 4, 1, 4], [4, 1, 4, 1, 4]],
+        ],
+        "stqp": "4*s1^4*t1^4*s2*t2*s3^4*t3^4*s4*t4*s5^4*t5^4",
+    },
+    "X_ex71": {
+        "profiles": [
+            [[2, 2, 1, 4, 1], [2, 4, 1, 2, 1]],
+            [[2, 2, 1, 0, 1], [2, 0, 1, 2, 1]],
+            [[2, 2, 1, 4, 1], [2, 4, 1, 2, 1]],
+            [[2, 2, 1, 0, 1], [2, 0, 1, 2, 1]],
+        ],
+        "stqp": "2*s1^2*t1^2*s2^2*t2^4*s3*t3*s4^4*t4^2*s5*t5"
+                " + 2*s1^2*t1^2*s2^2*s3*t3*t4^2*s5*t5",
+        "sstqp:0,2": "2*s1^2*t1^2*s2^2*t2^4*s3*t3*s4^4*t4^2*s5*t5",
+    },
+    "X_ex72": {
+        "profiles": [
+            [[3, 1, 3, 3, 2], [3, 1, 2, 2, 1]],
+            [[3, 0, 0, 3, 1], [3, 1, 2, 2, 1]],
+            [[3, 2, 3, 0, 0], [3, 1, 2, 2, 1]],
+        ],
+        "stqp": "s1^3*t1^3*s2^2*t2*s3^3*t3^2*t4^2*t5"
+                " + s1^3*t1^3*s2*t2*s3^3*t3^2*s4^3*t4^2*s5^2*t5"
+                " + s1^3*t1^3*t2*t3^2*s4^3*t4^2*s5*t5",
+    },
+    "X_ex74": {
+        "profiles": [
+            [[4, 1, 1, 2, 1], [4, 2, 4, 4, 1]],
+            [[4, 1, 1, 2, 1], [4, 0, 0, 0, 1]],
+            [[4, 1, 1, 2, 1], [4, 2, 0, 4, 1]],
+            [[4, 1, 1, 2, 1], [4, 0, 0, 0, 1]],
+        ],
+        "stqp": "s1^4*t1^4*s2*t2^2*s3*t3^4*s4^2*t4^4*s5*t5"
+                " + s1^4*t1^4*s2*t2^2*s3*s4^2*t4^4*s5*t5"
+                " + 2*s1^4*t1^4*s2*s3*s4^2*s5*t5",
+    },
+    "unknot": {
+        "colorings:X_ex71": [[0], [1], [2], [3]],
+        "counting:X_ex71": 4,
+        "phi:X_ex71": "2*u^{2*s1^2*t1^2*s2^2*s3*t3*t4^2*s5*t5}"
+                      " + 2*u^{s1^2*t1^2*s2^2*t2^4*s3*t3*s4^4*t4^2*s5*t5}",
+    },
+    "infinity_0_1_k_plus": {
+        "colorings:X_ex71": [[0, 0], [0, 2], [2, 0], [2, 2]],
+        "counting:X_ex71": 4,
+        "phi:X_ex71": "2*u^{2*s1^2*t1^2*s2^2*t2^4*s3*t3*s4^4*t4^2*s5*t5}"
+                      " + 2*u^{s1^2*t1^2*s2^2*t2^4*s3*t3*s4^4*t4^2*s5*t5}",
+    },
+    "trefoil_2_1_k_minus": {
+        "colorings:X_ex71": [[0, 0, 0, 0], [1, 3, 3, 1], [2, 2, 2, 2], [3, 1, 1, 3]],
+        "counting:X_ex71": 4,
+        "phi:X_ex71": "2*u^{2*s1^2*t1^2*s2^2*s3*t3*t4^2*s5*t5}"
+                      " + 2*u^{s1^2*t1^2*s2^2*t2^4*s3*t3*s4^4*t4^2*s5*t5}",
+        "relations": [[0, "~*", 3, 1], [1, "R3", 0, 2], [2, "~*", 1, 0], [3, "R4", 0, 2]],
+    },
+    "K1_ex72": {
+        "colorings:X_ex72": [[0, 0, 0, 0], [0, 1, 0, 1], [1, 0, 1, 0], [1, 1, 1, 1]],
+        "counting:X_ex72": 4,
+        "phi:X_ex72": "1*u^{s1^3*t1^3*s2*t2*s3^3*t3^2*s4^3*t4^2*s5^2*t5}"
+                      " + 3*u^{s1^3*t1^3*s2^2*t2*s3^3*t3^2*t4^2*t5"
+                      " + s1^3*t1^3*s2*t2*s3^3*t3^2*s4^3*t4^2*s5^2*t5"
+                      " + s1^3*t1^3*t2*t3^2*s4^3*t4^2*s5*t5}",
+    },
+    "K2_ex72": {
+        "colorings:X_ex72": [[0, 0, 0, 0], [0, 2, 0, 2], [2, 0, 2, 0], [2, 2, 2, 2]],
+        "counting:X_ex72": 4,
+        "phi:X_ex72": "1*u^{s1^3*t1^3*s2*t2*s3^3*t3^2*s4^3*t4^2*s5^2*t5}"
+                      " + 3*u^{s1^3*t1^3*s2^2*t2*s3^3*t3^2*t4^2*t5"
+                      " + s1^3*t1^3*s2*t2*s3^3*t3^2*s4^3*t4^2*s5^2*t5}",
+    },
+    "rna_K1_ex74": {
+        "colorings:X_ex74": [[0, 0, 0], [1, 3, 3], [2, 2, 2], [3, 1, 1]],
+        "counting:X_ex74": 4,
+        "phi:X_ex74": "1*u^{s1^4*t1^4*s2*t2^2*s3*t3^4*s4^2*t4^4*s5*t5}"
+                      " + 1*u^{s1^4*t1^4*s2*t2^2*s3*t3^4*s4^2*t4^4*s5*t5"
+                      " + s1^4*t1^4*s2*t2^2*s3*s4^2*t4^4*s5*t5}"
+                      " + 2*u^{s1^4*t1^4*s2*t2^2*s3*t3^4*s4^2*t4^4*s5*t5"
+                      " + s1^4*t1^4*s2*t2^2*s3*s4^2*t4^4*s5*t5"
+                      " + 2*s1^4*t1^4*s2*s3*s4^2*s5*t5}",
+        "presentation": {"generators": 3, "relations": [
+            {"out": 2, "op": "R3", "lhs": 0, "rhs": 1},
+            {"out": 0, "op": "R4", "lhs": 0, "rhs": 1},
+            {"out": 1, "op": "~*", "lhs": 2, "rhs": 0},
+        ]},
+    },
+    "rna_K2_ex74": {
+        "colorings:X_ex74": [[0, 0, 0], [0, 2, 0], [2, 0, 2], [2, 2, 2]],
+        "counting:X_ex74": 4,
+        "phi:X_ex74": "1*u^{s1^4*t1^4*s2*t2^2*s3*t3^4*s4^2*t4^4*s5*t5}"
+                      " + 3*u^{s1^4*t1^4*s2*t2^2*s3*t3^4*s4^2*t4^4*s5*t5"
+                      " + s1^4*t1^4*s2*t2^2*s3*s4^2*t4^4*s5*t5}",
+        "presentation": {"generators": 3, "relations": [
+            {"out": 2, "op": "R3", "lhs": 0, "rhs": 1},
+            {"out": 1, "op": "R4", "lhs": 0, "rhs": 1},
+            {"out": 0, "op": "~*", "lhs": 2, "rhs": 1},
+        ]},
+    },
 }
-
-# Coloring images with multiplicities, same keys as _COLORINGS.
-_IMAGES = {
-    ("unknot", "X_ex71"): (((0,), 1), ((1, 3), 2), ((2,), 1)),
-    ("infinity_0_1_k_plus", "X_ex71"): (((0,), 1), ((0, 2), 2), ((2,), 1)),
-    ("trefoil_2_1_k_minus", "X_ex71"): (((0,), 1), ((1, 3), 2), ((2,), 1)),
-    ("K1_ex72", "X_ex72"): (((0,), 1), ((0, 1, 2), 3)),
-    ("K2_ex72", "X_ex72"): (((0,), 1), ((0, 2), 3)),
-    ("rna_K1_ex74", "X_ex74"): (((0,), 1), ((0, 1, 2, 3), 2), ((0, 2), 1)),
-    ("rna_K2_ex74", "X_ex74"): (((0,), 1), ((0, 2), 3)),
-}
-
-_TREFOIL_RELATIONS = (
-    (0, "~*", 3, 1),
-    (1, "R3", 0, 2),
-    (2, "~*", 1, 0),
-    (3, "R4", 0, 2),
-)
-
-# Converted and self-closed arc fixtures: (generators, relations in order).
-_ARC_PRESENTATIONS = {
-    "rna_K1_ex74": (3, ((2, "R3", 0, 1), (0, "R4", 0, 1), (1, "~*", 2, 0))),
-    "rna_K2_ex74": (3, ((2, "R3", 0, 1), (1, "R4", 0, 1), (0, "~*", 2, 1))),
-}
-
-
-def _monomial(profiles, x: int) -> tuple[int, ...]:
-    r, c = profiles[x]
-    return profile_exponents(ElementProfile(tuple(r), tuple(c)))
-
-
-def _subset_poly(profiles, members) -> Polynomial:
-    return Polynomial(STU_VARS, [(_monomial(profiles, m), 1) for m in members])
-
-
-def _stqp_string(profiles) -> str:
-    return _subset_poly(profiles, range(len(profiles))).render()
-
-
-def _phi_string(profiles, images) -> str:
-    return PolynomialMultiset(
-        [(_subset_poly(profiles, members), mult) for members, mult in images]
-    ).render()
-
-
-def _profiles_json(profiles):
-    return [[list(r), list(c)] for r, c in profiles]
-
-
-def _colorings_json(colorings):
-    return [list(c) for c in colorings]
-
-
-def _stuquandle_fixture(fid: str, extra_subsets=()) -> Fixture:
-    profiles = _PROFILES[fid]
-    expected = {
-        "profiles": _profiles_json(profiles),
-        "stqp": _stqp_string(profiles),
-    }
-    for members in extra_subsets:
-        key = "sstqp:" + ",".join(str(m) for m in members)
-        expected[key] = _subset_poly(profiles, members).render()
-    return Fixture(fid, "stuquandle", _STUQUANDLES[fid], expected)
-
-
-def _diagram_expected(fid: str) -> dict:
-    expected: dict = {}
-    for (did, target), colorings in _COLORINGS.items():
-        if did != fid:
-            continue
-        expected[f"colorings:{target}"] = _colorings_json(colorings)
-        expected[f"counting:{target}"] = len(colorings)
-        expected[f"phi:{target}"] = _phi_string(_PROFILES[target], _IMAGES[(did, target)])
-    return expected
-
-
-def _presentation_fixture(fid: str) -> Fixture:
-    diagram = _DIAGRAMS[fid]
-    pres = compile_diagram(diagram, name=fid)
-    expected = _diagram_expected(fid)
-    if fid == "trefoil_2_1_k_minus":
-        expected["relations"] = sorted(list(r) for r in _TREFOIL_RELATIONS)
-    payload = {"presentation": pres, "diagram": diagram}
-    return Fixture(fid, "presentation", payload, expected)
-
-
-def _arc_fixture(fid: str) -> Fixture:
-    generators, relations = _ARC_PRESENTATIONS[fid]
-    expected = _diagram_expected(fid)
-    expected["presentation"] = {"generators": generators, "relations": [
-        {"out": out, "op": op, "lhs": lhs, "rhs": rhs} for out, op, lhs, rhs in relations
-    ]}
-    return Fixture(fid, "arc_diagram", _ARC_DIAGRAMS[fid], expected)
 
 
 def _build_catalog() -> dict[str, Fixture]:
     fixtures = [
-        _stuquandle_fixture("X1_ex63", extra_subsets=((1, 3),)),
-        _stuquandle_fixture("X2_ex63"),
-        _stuquandle_fixture("X_ex71", extra_subsets=((0, 2),)),
-        _stuquandle_fixture("X_ex72"),
-        _stuquandle_fixture("X_ex74"),
-        _presentation_fixture("unknot"),
-        _presentation_fixture("infinity_0_1_k_plus"),
-        _presentation_fixture("trefoil_2_1_k_minus"),
-        _presentation_fixture("K1_ex72"),
-        _presentation_fixture("K2_ex72"),
-        _arc_fixture("rna_K1_ex74"),
-        _arc_fixture("rna_K2_ex74"),
+        Fixture(fid, "stuquandle", X, _EXPECTED[fid]) for fid, X in _STUQUANDLES.items()
+    ]
+    fixtures += [
+        Fixture(fid, "presentation",
+                {"presentation": compile_diagram(d, name=fid), "diagram": d},
+                _EXPECTED[fid])
+        for fid, d in _DIAGRAMS.items()
+    ]
+    fixtures += [
+        Fixture(fid, "arc_diagram", a, _EXPECTED[fid]) for fid, a in _ARC_DIAGRAMS.items()
     ]
     return {fx.id: fx for fx in fixtures}
 
@@ -278,13 +253,26 @@ def fixture(fixture_id: str) -> Fixture:
         raise UnknownFixture(fixture_id) from None
 
 
+def payload_document(fx: Fixture) -> dict:
+    """The JSON document of a fixture's payload: a structure file, an arc
+    diagram file, or a presentation file beside its crossing diagram."""
+    if fx.kind == "stuquandle":
+        return formats.stuquandle_to_dict(fx.payload, name=fx.id)
+    if fx.kind == "presentation":
+        return {
+            "presentation": formats.presentation_to_dict(fx.payload["presentation"]),
+            "diagram": formats.crossing_diagram_to_dict(fx.payload["diagram"]),
+        }
+    if fx.kind == "arc_diagram":
+        return formats.arc_diagram_to_dict(fx.payload)
+    raise ValueError(f"unknown fixture kind {fx.kind!r}")
+
+
 def _load_target(target: str, workdir: Path):
     """Round-trip a target structure through its file format."""
     path = workdir / f"{target}.json"
     if not path.exists():
-        formats.save_document(
-            path, formats.stuquandle_to_dict(fixture(target).payload, name=target)
-        )
+        formats.save_document(path, payload_document(fixture(target)))
     return formats.load_stuquandle(path)
 
 
@@ -306,14 +294,15 @@ def verify_fixture(fx: Fixture, workdir) -> list[tuple[str, bool, str]]:
                 continue
             target = key.split(":", 1)[1]
             X = _load_target(target, workdir)
-            check(key, _colorings_json(enumerate_colorings(pres, X)), want)
+            check(key, [list(c) for c in enumerate_colorings(pres, X)], want)
             phi = phi_invariant(pres, X)
             check(f"counting:{target}", phi.total(), fx.expected[f"counting:{target}"])
             check(f"phi:{target}", phi.render(), fx.expected[f"phi:{target}"])
 
     path = workdir / f"{fx.id}.json"
+    doc = payload_document(fx)
     if fx.kind == "stuquandle":
-        formats.save_document(path, formats.stuquandle_to_dict(fx.payload, name=fx.id))
+        formats.save_document(path, doc)
         X = formats.load_stuquandle(path)
         got_profiles = [
             [list(p.r), list(p.c)]
@@ -327,9 +316,7 @@ def verify_fixture(fx: Fixture, workdir) -> list[tuple[str, bool, str]]:
                 got = substuquandle_polynomial(Subset(X, members)).render()
                 check(key, got, want)
     elif fx.kind == "presentation":
-        formats.save_document(
-            path, formats.presentation_to_dict(fx.payload["presentation"])
-        )
+        formats.save_document(path, doc["presentation"])
         pres = formats.load_presentation(path)
         compiled = compile_diagram(fx.payload["diagram"], name=fx.id)
         check("compile", compiled.relations, pres.relations)
@@ -337,15 +324,13 @@ def verify_fixture(fx: Fixture, workdir) -> list[tuple[str, bool, str]]:
             got = sorted([r.out, r.op, r.lhs, r.rhs] for r in pres.relations)
             check("relations", got, fx.expected["relations"])
         check_targets(pres)
-    elif fx.kind == "arc_diagram":
-        formats.save_document(path, formats.arc_diagram_to_dict(fx.payload))
+    else:
+        formats.save_document(path, doc)
         arc = formats.load_arc_diagram(path)
         pres = compile_diagram(self_closure(to_crossing_diagram(arc)))
         check("presentation", formats.presentation_to_dict(pres),
               fx.expected["presentation"])
         check_targets(pres)
-    else:
-        raise ValueError(f"unknown fixture kind {fx.kind!r}")
     return results
 
 

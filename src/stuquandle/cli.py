@@ -37,7 +37,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the contract reserves 2 for
     # axiom violations, so remap usage problems to exit 1
     def error(self, message):
-        self.print_usage(sys.stderr)
         raise FormatError(message)
 
 
@@ -105,17 +104,6 @@ def _parse_elements(text: str) -> tuple[int, ...]:
         return tuple(int(v) for v in text.split(","))
     except ValueError as exc:
         raise FormatError(f"bad element list {text!r}") from exc
-
-
-def _fixture_payload_dict(fx) -> dict:
-    if fx.kind == "stuquandle":
-        return formats.stuquandle_to_dict(fx.payload, name=fx.id)
-    if fx.kind == "presentation":
-        return {
-            "presentation": formats.presentation_to_dict(fx.payload["presentation"]),
-            "diagram": formats.crossing_diagram_to_dict(fx.payload["diagram"]),
-        }
-    return formats.arc_diagram_to_dict(fx.payload)
 
 
 def _run(args, out: list[str], inputs: list) -> int:
@@ -191,7 +179,7 @@ def _run(args, out: list[str], inputs: list) -> int:
         if args.catalog_command == "show":
             fx = catalog.fixture(args.id)
             doc = {"id": fx.id, "kind": fx.kind,
-                   "payload": _fixture_payload_dict(fx), "expected": fx.expected}
+                   "payload": catalog.payload_document(fx), "expected": fx.expected}
             out.append(json.dumps(doc, indent=2))
             return 0
         with tempfile.TemporaryDirectory() as tmp:

@@ -174,13 +174,10 @@ def _renumber_by_first_use(arc_count: int, crossings, remap) -> CrossingDiagram:
     return CrossingDiagram(len(order), tuple(renamed), ())
 
 
-def self_closure(d: CrossingDiagram, strand_map=None) -> CrossingDiagram:
+def self_closure(d: CrossingDiagram) -> CrossingDiagram:
     """Join the two ends of every open strand, identifying their boundary
     arcs, and renumber the surviving arcs canonically."""
-    if strand_map is None:
-        strand_map = d.open_ends
-    strand_map = tuple(strand_map)
-    if not strand_map:
+    if not d.open_ends:
         raise DanglingEnd("no open strand ends to close")
 
     remap = list(range(d.arc_count))
@@ -190,10 +187,7 @@ def self_closure(d: CrossingDiagram, strand_map=None) -> CrossingDiagram:
             x = remap[x]
         return x
 
-    for first, last in strand_map:
-        for arc in (first, last):
-            if not 0 <= arc < d.arc_count:
-                raise DanglingEnd(f"strand end references missing arc {arc}")
+    for first, last in d.open_ends:
         a, b = root(first), root(last)
         if a != b:
             remap[max(a, b)] = min(a, b)

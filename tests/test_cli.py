@@ -267,6 +267,7 @@ _IDENTITY2 = [[0, 0], [1, 1]]
      lambda tmp: ["subpoly", write_stuquandle(tmp, "X_ex71"), "--subset", "1"]),
     ("UnknownFixture", 3, "unknown fixture",
      lambda tmp: ["catalog", "show", "missing"]),
+    ("usage", 1, "invalid choice", lambda tmp: ["frobnicate"]),
 ], ids=lambda case: case[0])
 def test_error_class_exit_codes(tmp_path, capsys, case):
     _, exit_code, message, argv = case

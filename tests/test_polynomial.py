@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stuquandle import (
     AxiomViolation,
@@ -138,6 +140,22 @@ def test_render_parse_round_trip():
         assert parse_polynomial(p.render()) == p
     qp = quandle_polynomial(table_from(3, lambda x, y: 2 * y - x))
     assert parse_polynomial(qp.render(), QP_VARS) == qp
+
+
+@st.composite
+def _random_polynomials(draw):
+    variables = draw(st.sampled_from((STU_VARS, QP_VARS)))
+    exps = st.tuples(*[st.integers(0, 5)] * len(variables))
+    terms = draw(st.lists(st.tuples(exps, st.integers(-6, 6)), max_size=6))
+    return Polynomial(variables, terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_random_polynomials())
+def test_render_parse_round_trip_property(p):
+    """Zero coefficients and cancelling terms are allowed, so the zero
+    polynomial is among the inputs."""
+    assert parse_polynomial(p.render(), p.variables) == p
 
 
 def test_render_is_injective_on_samples():

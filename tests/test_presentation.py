@@ -201,6 +201,14 @@ def test_phi_matches_per_coloring_oracle(pres, sid):
     assert {frozenset(p.terms.items()): k for p, k in phi.entries.items()} == want
 
 
+@settings(max_examples=100, deadline=None)
+@given(_small_presentations(), st.sampled_from(STUQUANDLE_IDS), st.data())
+def test_phi_is_relabeling_invariant(pres, sid, data):
+    X = fixture(sid).payload
+    sigma = data.draw(st.permutations(range(X.n)))
+    assert phi_invariant(pres, X.relabel(sigma)) == phi_invariant(pres, X)
+
+
 def test_phi_reference_render():
     inf = fixture("infinity_0_1_k_plus").payload["presentation"]
     assert phi_invariant(inf, X71).render() == (

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from stuquandle import (
     ArcDiagram,
+    Classical,
     DanglingEnd,
     MalformedStripe,
     StrandCrossing,
@@ -14,8 +17,10 @@ from stuquandle import (
     self_closure,
     to_crossing_diagram,
 )
-from stuquandle.catalog import fixture
+from stuquandle.catalog import fixture, list_fixtures
 from stuquandle.presentation import Relation
+
+import oracles
 
 X74 = fixture("X_ex74").payload
 ONE = build_stuquandle(1, [[0]], [[0]], [[0]], [[0]], [[0]])
@@ -127,3 +132,61 @@ def test_stripe_free_with_one_element_target():
 
 def test_folding_counting_for_stripe_free_strand():
     assert folding_invariant(ArcDiagram(1), X74).counting == X74.n
+
+
+STUQUANDLE_IDS = tuple(fid for fid in list_fixtures() if fixture(fid).kind == "stuquandle")
+
+
+@st.composite
+def _arc_diagrams(draw, max_stripes=4, max_classicals=3):
+    """1-3 strands; every stripe end and every crossing passage takes its
+    own (strand, position) site."""
+    strands = draw(st.integers(1, 3))
+    n_stripes = draw(st.integers(0, max_stripes))
+    n_classicals = draw(st.integers(0, max_classicals))
+    site = st.tuples(st.integers(0, strands - 1), st.integers(0, 40))
+    size = 2 * (n_stripes + n_classicals)
+    sites = draw(st.lists(site, min_size=size, max_size=size, unique=True))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=size // 2, max_size=size // 2))
+    pairs = [sites[2 * i] + sites[2 * i + 1] for i in range(size // 2)]
+    stripes = [Stripe(a, b, pa, pb, sign)
+               for (a, pa, b, pb), sign in zip(pairs[:n_stripes], signs)]
+    classicals = [StrandCrossing(*pair, sign)
+                  for pair, sign in zip(pairs[n_stripes:], signs[n_stripes:])]
+    return ArcDiagram(strands, tuple(stripes), tuple(classicals))
+
+
+def _cuts_per_strand(arc):
+    """Stripe ends and under-passages cut a strand; over-passages do not."""
+    cuts = [0] * arc.strand_count
+    for stripe in arc.stripes:
+        cuts[stripe.strand_a] += 1
+        cuts[stripe.strand_b] += 1
+    for c in arc.classicals:
+        cuts[c.under_strand] += 1
+    return cuts
+
+
+@settings(max_examples=200, deadline=None)
+@given(_arc_diagrams())
+def test_random_arc_diagram_conversion_and_closure(arc):
+    d = to_crossing_diagram(arc)
+    assert sum(isinstance(c, Stuck) for c in d.crossings) == len(arc.stripes)
+    assert sum(isinstance(c, Classical) for c in d.crossings) == len(arc.classicals)
+    assert d.arc_count == arc.strand_count + 2 * len(arc.stripes) + len(arc.classicals)
+
+    closed = self_closure(d)
+    assert closed.arc_count == sum(max(k, 1) for k in _cuts_per_strand(arc))
+    first_use = list(dict.fromkeys(a for c in closed.crossings for a in c.arcs()))
+    assert first_use == list(range(len(first_use)))
+    assert len(compile_diagram(closed).relations) == \
+        2 * len(arc.stripes) + len(arc.classicals)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_arc_diagrams(max_stripes=2, max_classicals=2), st.sampled_from(STUQUANDLE_IDS))
+def test_random_arc_diagram_colorings_match_sweep(arc, sid):
+    pres = compile_diagram(self_closure(to_crossing_diagram(arc)))
+    assume(pres.generator_count <= 6)
+    X = fixture(sid).payload
+    assert enumerate_colorings(pres, X) == oracles.sweep_colorings(pres, X)
