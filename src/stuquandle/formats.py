@@ -155,12 +155,10 @@ def arc_diagram_from_dict(doc: dict) -> ArcDiagram:
 
 
 def crossing_diagram_to_dict(d: CrossingDiagram) -> dict:
-    crossings = []
-    for c in d.crossings:
-        if isinstance(c, Stuck):
-            crossings.append(["stuck", c.sign, c.in1, c.in2, c.out1, c.out2])
-        else:
-            crossings.append(["classical", c.sign, c.over, c.under_in, c.under_out])
+    crossings = [
+        ["stuck" if isinstance(c, Stuck) else "classical", c.sign, *c.arcs()]
+        for c in d.crossings
+    ]
     doc: dict = {"arcs": d.arc_count, "crossings": crossings}
     if d.open_ends:
         doc["open_ends"] = [list(pair) for pair in d.open_ends]
@@ -193,6 +191,8 @@ def load_document(path) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FormatError(f"{path} is nested too deeply") from exc
     if not isinstance(doc, dict):
         raise FormatError(f"{path} must contain a JSON object")
     return doc

@@ -77,6 +77,10 @@ class Presentation:
         return "\n".join(lines)
 
 
+# In both crossing types the fields after sign are the slots in arcs() order,
+# and self-closure numbers arcs by first use in that order.
+
+
 @dataclass(frozen=True)
 class Classical:
     """Classical crossing: the under strand runs under_in -> under_out."""
@@ -88,6 +92,10 @@ class Classical:
 
     def arcs(self):
         return (self.over, self.under_in, self.under_out)
+
+    def renumbered(self, new) -> Classical:
+        """This crossing with every arc a replaced by new[a]."""
+        return Classical(self.sign, new[self.over], new[self.under_in], new[self.under_out])
 
 
 @dataclass(frozen=True)
@@ -102,6 +110,10 @@ class Stuck:
 
     def arcs(self):
         return (self.in1, self.in2, self.out1, self.out2)
+
+    def renumbered(self, new) -> Stuck:
+        """This crossing with every arc a replaced by new[a]."""
+        return Stuck(self.sign, new[self.in1], new[self.in2], new[self.out1], new[self.out2])
 
 
 @dataclass(frozen=True)
@@ -250,10 +262,16 @@ class InvariantComparison:
 
     left: str
     right: str
-    counting_left: int
-    counting_right: int
     phi_left: PolynomialMultiset
     phi_right: PolynomialMultiset
+
+    @property
+    def counting_left(self) -> int:
+        return self.phi_left.total()
+
+    @property
+    def counting_right(self) -> int:
+        return self.phi_right.total()
 
     @property
     def verdict(self) -> str:
@@ -276,13 +294,9 @@ class InvariantComparison:
 
 
 def compare_invariants(P1: Presentation, P2: Presentation, X: FiniteStuquandle) -> InvariantComparison:
-    phi1 = phi_invariant(P1, X)
-    phi2 = phi_invariant(P2, X)
     return InvariantComparison(
         left=P1.name or "left",
         right=P2.name or "right",
-        counting_left=phi1.total(),
-        counting_right=phi2.total(),
-        phi_left=phi1,
-        phi_right=phi2,
+        phi_left=phi_invariant(P1, X),
+        phi_right=phi_invariant(P2, X),
     )

@@ -138,45 +138,11 @@ def to_crossing_diagram(a: ArcDiagram) -> CrossingDiagram:
     return CrossingDiagram(arc_count, tuple(crossings), tuple(open_ends))
 
 
-def _renumber_by_first_use(arc_count: int, crossings, remap) -> CrossingDiagram:
-    """Compact arc ids, ordering them by first appearance in the crossing
-    slots (then any untouched arcs in their old order)."""
-    order: dict[int, int] = {}
-
-    def visit(old: int):
-        arc = remap[old]
-        if arc not in order:
-            order[arc] = len(order)
-
-    for c in crossings:
-        if isinstance(c, Stuck):
-            for slot in (c.in1, c.in2, c.out1, c.out2):
-                visit(slot)
-        else:
-            for slot in (c.over, c.under_in, c.under_out):
-                visit(slot)
-    for old in range(arc_count):
-        visit(old)
-
-    renamed = []
-    for c in crossings:
-        if isinstance(c, Stuck):
-            renamed.append(Stuck(
-                c.sign,
-                order[remap[c.in1]], order[remap[c.in2]],
-                order[remap[c.out1]], order[remap[c.out2]],
-            ))
-        else:
-            renamed.append(Classical(
-                c.sign,
-                order[remap[c.over]], order[remap[c.under_in]], order[remap[c.under_out]],
-            ))
-    return CrossingDiagram(len(order), tuple(renamed), ())
-
-
 def self_closure(d: CrossingDiagram) -> CrossingDiagram:
     """Join the two ends of every open strand, identifying their boundary
-    arcs, and renumber the surviving arcs canonically."""
+    arcs, and renumber the surviving arcs by first appearance in the
+    crossing slots (stuck: in1, in2, out1, out2; classical: over, under_in,
+    under_out), then untouched arcs in their old order."""
     if not d.open_ends:
         raise DanglingEnd("no open strand ends to close")
 
@@ -192,7 +158,12 @@ def self_closure(d: CrossingDiagram) -> CrossingDiagram:
         if a != b:
             remap[max(a, b)] = min(a, b)
     resolved = [root(x) for x in range(d.arc_count)]
-    return _renumber_by_first_use(d.arc_count, d.crossings, resolved)
+    number: dict[int, int] = {}
+    for c in d.crossings:
+        for a in c.arcs():
+            number.setdefault(resolved[a], len(number))
+    new = [number.setdefault(r, len(number)) for r in resolved]
+    return CrossingDiagram(len(number), tuple(c.renumbered(new) for c in d.crossings), ())
 
 
 @dataclass(frozen=True)
@@ -201,17 +172,15 @@ class FoldingReport:
     coloring-image polynomial multiset."""
 
     presentation: Presentation
-    counting: int
     phi: PolynomialMultiset
 
-    def __post_init__(self):
-        if self.counting != self.phi.total():
-            raise ValueError("coloring count and multiset size disagree")
+    @property
+    def counting(self) -> int:
+        return self.phi.total()
 
 
 def folding_invariant(a: ArcDiagram, X: FiniteStuquandle, name: str = "") -> FoldingReport:
     """Convert, close, compile, then color by X."""
     closed = self_closure(to_crossing_diagram(a))
     pres = compile_diagram(closed, name=name)
-    phi = phi_invariant(pres, X)
-    return FoldingReport(presentation=pres, counting=phi.total(), phi=phi)
+    return FoldingReport(presentation=pres, phi=phi_invariant(pres, X))

@@ -244,6 +244,8 @@ _IDENTITY2 = [[0, 0], [1, 1]]
 @pytest.mark.parametrize("case", [
     ("FormatError", 1, "not valid JSON",
      lambda tmp: ["verify", _doc_file(tmp, "X.json", "{not json")]),
+    ("deep-nesting", 1, "nested too deeply",
+     lambda tmp: ["verify", _doc_file(tmp, "X.json", "[" * 100000 + "]" * 100000)]),
     ("IndexOutOfRange", 1, "generator index 5",
      lambda tmp: ["color", _doc_file(tmp, "P.json", {
          "generators": 2, "relations": [{"out": 5, "op": "*", "lhs": 0, "rhs": 1}]}),

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from stuquandle import (
     ArcDiagram,
     Classical,
+    CrossingDiagram,
     DanglingEnd,
     MalformedStripe,
     StrandCrossing,
@@ -55,6 +56,14 @@ def test_two_strand_single_stripe_closure():
     closed = self_closure(to_crossing_diagram(arc))
     assert closed.arc_count == 2
     assert closed.crossings == (Stuck(1, 0, 1, 0, 1),)
+
+
+def test_closure_numbers_chained_ends_by_first_slot_use():
+    # open ends chain 0-1-2 into one arc; arc 5, in no crossing, is numbered last
+    d = CrossingDiagram(6, (Classical(1, over=3, under_in=4, under_out=1),
+                            Stuck(-1, 2, 4, 3, 0)), ((0, 1), (1, 2)))
+    assert self_closure(d) == CrossingDiagram(
+        4, (Classical(1, 0, 1, 2), Stuck(-1, 2, 1, 0, 2)), ())
 
 
 def test_positions_listing():
