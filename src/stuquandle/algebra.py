@@ -344,25 +344,30 @@ def substuquandle_closure(s: Subset) -> Subset:
     return Subset(s.parent, tuple(inside))
 
 
+def _equations(X: FiniteStuquandle, Y: FiniteStuquandle):
+    """(Y's rows of op, a, b, c) for each equation op(a, b) = c of X's
+    defining tables."""
+    for opx, opy in zip(X.defining, Y.defining):
+        for a, row in enumerate(opx):
+            for b, c in enumerate(row):
+                yield opy, a, b, c
+
+
 def is_homomorphism(f, X: FiniteStuquandle, Y: FiniteStuquandle) -> bool:
     """True iff f carries each of *, R1..R4 on X to its counterpart on Y."""
     f = tuple(f)
     if len(f) != X.n or any(not 0 <= v < Y.n for v in f):
         return False
-    pairs = tuple(zip(X.defining, Y.defining))
-    for x, y in itertools.product(range(X.n), repeat=2):
-        for opx, opy in pairs:
-            if f[opx[x][y]] != opy[f[x]][f[y]]:
-                return False
-    return True
+    return all(f[c] == opy[f[a]][f[b]] for opy, a, b, c in _equations(X, Y))
 
 
 def is_isomorphic(X: FiniteStuquandle, Y: FiniteStuquandle):
-    """A witness bijection X -> Y as a tuple, or None.
+    """The lexicographically first isomorphism X -> Y as a tuple, or None.
 
-    The search is pruned by matching element profiles (they are preserved
-    by isomorphisms); correctness does not depend on the prune because
-    every returned witness is a fully checked homomorphism.
+    Elements 0, 1, ... are mapped in turn, each to an unused element of Y
+    with the same profile (isomorphisms preserve profiles), smallest first.
+    Each equation op(a, b) = c of X is checked exactly once, when element
+    max(a, b, c) is mapped, so every complete map is an isomorphism.
     """
     if X.n != Y.n:
         return None
@@ -375,38 +380,22 @@ def is_isomorphic(X: FiniteStuquandle, Y: FiniteStuquandle):
     candidates = [
         tuple(y for y in range(Y.n) if py[y] == px[x]) for x in range(X.n)
     ]
-    pairs = tuple(zip(X.defining, Y.defining))
+    due = [[] for _ in range(X.n)]
+    for opy, a, b, c in _equations(X, Y):
+        due[max(a, b, c)].append((opy, a, b, c))
 
-    f = [-1] * X.n
-    used = [False] * Y.n
-
-    def compatible(i: int) -> bool:
-        # check every op equation whose arguments and image are all decided
-        for j in range(i + 1):
-            for opx, opy in pairs:
-                for a, b in ((i, j), (j, i)):
-                    k = opx[a][b]
-                    if f[k] >= 0 and f[k] != opy[f[a]][f[b]]:
-                        return False
-        return True
-
-    def search(i: int):
+    def search(f: tuple):
+        i = len(f)
         if i == X.n:
-            return tuple(f)
+            return f
         for y in candidates[i]:
-            if used[y]:
+            if y in f:
                 continue
-            f[i] = y
-            used[y] = True
-            if compatible(i):
-                found = search(i + 1)
+            g = f + (y,)
+            if all(g[c] == opy[g[a]][g[b]] for opy, a, b, c in due[i]):
+                found = search(g)
                 if found is not None:
                     return found
-            f[i] = -1
-            used[y] = False
         return None
 
-    witness = search(0)
-    if witness is not None and is_homomorphism(witness, X, Y):
-        return witness
-    return None
+    return search(())

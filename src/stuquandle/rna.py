@@ -96,45 +96,41 @@ def to_crossing_diagram(a: ArcDiagram) -> CrossingDiagram:
     Strand segments between cut points become arcs.  Stripe endpoints and
     classical under-passages cut the strand; over-passages do not.
     """
-    # events: (position, kind, payload) per strand, kind in stripe/under/over
-    events: list[list[tuple]] = [[] for _ in range(a.strand_count)]
-    for i, st in enumerate(a.stripes):
-        events[st.strand_a].append((st.position_a, "stripe", (i, 0)))
-        events[st.strand_b].append((st.position_b, "stripe", (i, 1)))
-    for i, c in enumerate(a.classicals):
-        events[c.under_strand].append((c.under_position, "under", i))
-        events[c.over_strand].append((c.over_position, "over", i))
+    # per strand, (position, cuts) for every site on it
+    sites: list[list[tuple[int, bool]]] = [[] for _ in range(a.strand_count)]
+    for st in a.stripes:
+        sites[st.strand_a].append((st.position_a, True))
+        sites[st.strand_b].append((st.position_b, True))
+    for c in a.classicals:
+        sites[c.under_strand].append((c.under_position, True))
+        sites[c.over_strand].append((c.over_position, False))
 
-    stripe_slots: dict[tuple[int, int], tuple[int, int]] = {}
-    under_slots: dict[int, tuple[int, int]] = {}
-    over_slots: dict[int, int] = {}
+    # (strand, position) -> (incoming, outgoing) arcs at a cut, the current arc
+    # at an over-passage
+    at: dict = {}
     open_ends = []
     arc_count = 0
-    for strand in range(a.strand_count):
-        current = arc_count
+    for strand, strand_sites in enumerate(sites):
+        first = current = arc_count
         arc_count += 1
-        first = current
-        for position, kind, payload in sorted(events[strand]):
-            if kind == "over":
-                over_slots[payload] = current
-                continue
-            incoming = current
-            current = arc_count
-            arc_count += 1
-            if kind == "stripe":
-                stripe_slots[payload] = (incoming, current)
+        for position, cuts in sorted(strand_sites):
+            if cuts:
+                at[strand, position] = (current, arc_count)
+                current = arc_count
+                arc_count += 1
             else:
-                under_slots[payload] = (incoming, current)
+                at[strand, position] = current
         open_ends.append((first, current))
 
     crossings: list = []
-    for i, st in enumerate(a.stripes):
-        in1, out1 = stripe_slots[(i, 0)]
-        in2, out2 = stripe_slots[(i, 1)]
+    for st in a.stripes:
+        in1, out1 = at[st.strand_a, st.position_a]
+        in2, out2 = at[st.strand_b, st.position_b]
         crossings.append(Stuck(st.sign, in1, in2, out1, out2))
-    for i, c in enumerate(a.classicals):
-        under_in, under_out = under_slots[i]
-        crossings.append(Classical(c.sign, over_slots[i], under_in, under_out))
+    for c in a.classicals:
+        over = at[c.over_strand, c.over_position]
+        under_in, under_out = at[c.under_strand, c.under_position]
+        crossings.append(Classical(c.sign, over, under_in, under_out))
     return CrossingDiagram(arc_count, tuple(crossings), tuple(open_ends))
 
 

@@ -106,3 +106,26 @@ def first_violation(n, star, r1, r2, r3, r4):
             if not holds(*witness):
                 return (axiom, witness)
     return None
+
+
+def carries_tables(f, X, Y):
+    """True iff f(op_X(a, b)) == op_Y(f(a), f(b)) for the five defining
+    tables and every a, b of X."""
+    tables = [(X.star, Y.star), (X.r1, Y.r1), (X.r2, Y.r2), (X.r3, Y.r3), (X.r4, Y.r4)]
+    for tx, ty in tables:
+        for a in range(X.n):
+            for b in range(X.n):
+                if f[tx[a][b]] != ty[f[a]][f[b]]:
+                    return False
+    return True
+
+
+def first_isomorphism(X, Y):
+    """The lexicographically first bijection X -> Y that carries every
+    defining table, trying all permutations in order; None if none does."""
+    if X.n != Y.n:
+        return None
+    for f in itertools.permutations(range(Y.n)):
+        if carries_tables(f, X, Y):
+            return f
+    return None

@@ -216,6 +216,47 @@ def test_size_mismatch_is_never_isomorphic():
     assert is_isomorphic(X72, X74) is None
 
 
+def test_isomorphism_found_when_an_equation_has_the_largest_index():
+    # R1..R4(0, 0) = 1: the identity map fails only equations whose result
+    # index is larger than both arguments, so the search must check those
+    # too and move on to the relabeling itself.
+    T = ((1, 2, 1), (2, 2, 0), (1, 0, 1))
+    X = build_stuquandle(3, ((0, 0, 0), (1, 1, 1), (2, 2, 2)),
+                         ((1, 2, 1), (1, 0, 2), (2, 1, 0)),
+                         ((1, 1, 2), (2, 0, 1), (1, 2, 0)), T, T)
+    assert is_isomorphic(X, X.relabel((0, 2, 1))) == (0, 2, 1)
+
+
+@st.composite
+def _trivial_star(draw, n):
+    """x * y = x with random R1 and R3, R2(x, y) = R1(y, x) and
+    R4(x, y) = R3(y, x): all thirteen axioms hold for any R1 and R3.
+    R3 copies R1 in half the draws: two elements then share a profile far
+    more often, so the search has more than one candidate to try."""
+    cell = st.integers(0, n - 1)
+    table = st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n)
+    r1 = draw(table)
+    r3 = r1 if draw(st.booleans()) else draw(table)
+    star = [[x] * n for x in range(n)]
+    r2 = [[r1[y][x] for y in range(n)] for x in range(n)]
+    r4 = [[r3[y][x] for y in range(n)] for x in range(n)]
+    return build_stuquandle(n, star, r1, r2, r3, r4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_isomorphism_matches_brute_force(data):
+    n = data.draw(st.integers(1, 5))
+    X = data.draw(_trivial_star(n))
+    if data.draw(st.booleans()):
+        Y = X.relabel(data.draw(st.permutations(range(n))))
+    else:
+        Y = data.draw(_trivial_star(n))
+    assert is_isomorphic(X, Y) == oracles.first_isomorphism(X, Y)
+    f = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    assert is_homomorphism(f, X, Y) == oracles.carries_tables(f, X, Y)
+
+
 def test_affine_family_small_sweep():
     # quick version of the exhaustive acceptance sweep
     for n in range(2, 6):

@@ -3,8 +3,8 @@ import json
 import pytest
 
 from stuquandle import formats
-from stuquandle.catalog import fixture
-from stuquandle.cli import main
+from stuquandle.catalog import fixture, list_fixtures
+from stuquandle.cli import entry_point, main
 
 
 def write_stuquandle(tmp_path, fid, name=None):
@@ -160,6 +160,20 @@ def test_catalog_list(capsys):
     ids = out.split()
     assert "trefoil_2_1_k_minus" in ids
     assert "rna_K1_ex74" in ids
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["catalog", "list"], 0),
+    (["frobnicate"], 1),
+])
+def test_entry_point_exits_with_main_code(monkeypatch, capsys, argv, exit_code):
+    monkeypatch.setattr("sys.argv", ["stuquandle", *argv])
+    with pytest.raises(SystemExit) as exc:
+        entry_point()
+    assert exc.value.code == exit_code
+    out = capsys.readouterr().out
+    if exit_code == 0:
+        assert out.split() == list_fixtures() and len(out.split()) == 12
 
 
 def test_catalog_show(capsys):
