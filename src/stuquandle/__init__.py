@@ -50,7 +50,6 @@ from .presentation import (
     STAR_INV,
     Classical,
     CrossingDiagram,
-    InvariantComparison,
     Presentation,
     Relation,
     Stuck,
@@ -64,9 +63,9 @@ from .presentation import (
 )
 from .rna import (
     ArcDiagram,
-    FoldingReport,
     StrandCrossing,
     Stripe,
+    arc_presentation,
     folding_invariant,
     self_closure,
     to_crossing_diagram,

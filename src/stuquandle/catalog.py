@@ -26,7 +26,7 @@ from .presentation import (
     enumerate_colorings,
     phi_invariant,
 )
-from .rna import ArcDiagram, StrandCrossing, Stripe, self_closure, to_crossing_diagram
+from .rna import ArcDiagram, StrandCrossing, Stripe, arc_presentation
 
 
 @dataclass(frozen=True)
@@ -327,7 +327,7 @@ def verify_fixture(fx: Fixture, workdir) -> list[tuple[str, bool, str]]:
     else:
         formats.save_document(path, doc)
         arc = formats.load_arc_diagram(path)
-        pres = compile_diagram(self_closure(to_crossing_diagram(arc)))
+        pres = arc_presentation(arc)
         check("presentation", formats.presentation_to_dict(pres),
               fx.expected["presentation"])
         check_targets(pres)

@@ -21,13 +21,8 @@ from . import catalog, formats
 from .algebra import AffineParams, AlexanderParams, Subset, affine_stuquandle, alexander_stuquandle
 from .errors import FormatError, StuquandleError
 from .polynomial import stuquandle_polynomial, substuquandle_polynomial
-from .presentation import (
-    compare_invariants,
-    compile_diagram,
-    enumerate_colorings,
-    phi_invariant,
-)
-from .rna import folding_invariant, self_closure, to_crossing_diagram
+from .presentation import compare_invariants, enumerate_colorings, phi_invariant
+from .rna import arc_presentation, folding_invariant
 
 _USAGE_EXIT = 1
 _VIOLATION_EXIT = 2
@@ -157,19 +152,18 @@ def _run(args, out: list[str], inputs: list) -> int:
         left = formats.load_presentation(slurp(args.left))
         right = formats.load_presentation(slurp(args.right))
         X = formats.load_stuquandle(slurp(args.stuquandle))
-        report = compare_invariants(left, right, X)
-        out.append(json.dumps(report.to_dict(), indent=2))
+        out.append(json.dumps(compare_invariants(left, right, X), indent=2))
         return 0
 
     if args.command == "rna":
         if args.rna_command == "convert":
             arc = formats.load_arc_diagram(slurp(args.arc))
-            pres = compile_diagram(self_closure(to_crossing_diagram(arc)))
+            pres = arc_presentation(arc)
             out.append(json.dumps(formats.presentation_to_dict(pres), indent=2))
             return 0
         arc = formats.load_arc_diagram(slurp(args.arc))
         X = formats.load_stuquandle(slurp(args.stuquandle))
-        out.append(folding_invariant(arc, X).phi.render())
+        out.append(folding_invariant(arc, X).render())
         return 0
 
     if args.command == "catalog":

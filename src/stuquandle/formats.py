@@ -15,6 +15,7 @@ failures, bad indices) propagate from the constructors.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 from pathlib import Path
@@ -30,6 +31,9 @@ from .presentation import (
     Stuck,
 )
 from .rna import ArcDiagram, StrandCrossing, Stripe
+
+# the crossing type of each file tag
+_CROSSING_TYPES = {cls.kind: cls for cls in (Classical, Stuck)}
 
 
 def _require(obj: dict, key: str, kind, what: str):
@@ -54,16 +58,16 @@ def _int_matrix(value, what: str) -> list[list[int]]:
     return value
 
 
-def _five_int_lists(raw, what: str) -> list[list[int]]:
-    """raw itself, once it is checked to be a list of 5-integer lists.
+def _int_lists(raw, size: int, what: str) -> list[list[int]]:
+    """raw itself, once it is checked to be a list of size-integer lists.
 
     Types are exact, so a bool or float element is rejected.  The check runs
     over the whole list at once because diagrams hold thousands of entries.
     """
     if (not isinstance(raw, list) or set(map(type, raw)) - {list}
-            or set(map(len, raw)) - {5}
+            or set(map(len, raw)) - {size}
             or set(map(type, itertools.chain.from_iterable(raw))) - {int}):
-        raise FormatError(f"each {what} must be a list of 5 integers")
+        raise FormatError(f"each {what} must be a list of {size} integers")
     return raw
 
 
@@ -147,18 +151,15 @@ def arc_diagram_to_dict(a: ArcDiagram) -> dict:
 def arc_diagram_from_dict(doc: dict) -> ArcDiagram:
     strands = _require(doc, "strands", int, "arc diagram document")
     raw_stripes = _require(doc, "stripes", list, "arc diagram document")
-    stripes = [Stripe(*item) for item in _five_int_lists(raw_stripes, "stripe")]
+    stripes = [Stripe(*item) for item in _int_lists(raw_stripes, 5, "stripe")]
     raw_classicals = doc.get("classicals", [])
     classicals = [StrandCrossing(*item)
-                  for item in _five_int_lists(raw_classicals, "classical crossing")]
+                  for item in _int_lists(raw_classicals, 5, "classical crossing")]
     return ArcDiagram(strands, tuple(stripes), tuple(classicals))
 
 
 def crossing_diagram_to_dict(d: CrossingDiagram) -> dict:
-    crossings = [
-        ["stuck" if isinstance(c, Stuck) else "classical", c.sign, *c.arcs()]
-        for c in d.crossings
-    ]
+    crossings = [[c.kind, c.sign, *c.arcs()] for c in d.crossings]
     doc: dict = {"arcs": d.arc_count, "crossings": crossings}
     if d.open_ends:
         doc["open_ends"] = [list(pair) for pair in d.open_ends]
@@ -169,17 +170,16 @@ def crossing_diagram_from_dict(doc: dict) -> CrossingDiagram:
     arcs = _require(doc, "arcs", int, "crossing diagram document")
     crossings = []
     for item in _require(doc, "crossings", list, "crossing diagram document"):
-        if not isinstance(item, list) or not item:
-            raise FormatError("each crossing must be a non-empty list")
-        kind, rest = item[0], item[1:]
-        if kind == "stuck" and len(rest) == 5:
-            crossings.append(Stuck(*rest))
-        elif kind == "classical" and len(rest) == 4:
-            crossings.append(Classical(*rest))
-        else:
+        if not isinstance(item, list) or not item or not isinstance(item[0], str):
+            raise FormatError("each crossing must be a list that starts with its kind")
+        cls, rest = _CROSSING_TYPES.get(item[0]), item[1:]
+        # the entries after the tag are the fields: sign, then the arc slots
+        if (cls is None or len(rest) != len(dataclasses.fields(cls))
+                or set(map(type, rest)) - {int}):
             raise FormatError(f"bad crossing entry {item!r}")
-    open_ends = tuple(tuple(pair) for pair in doc.get("open_ends", []))
-    return CrossingDiagram(arcs, tuple(crossings), open_ends)
+        crossings.append(cls(*rest))
+    open_ends = _int_lists(doc.get("open_ends", []), 2, "open end pair")
+    return CrossingDiagram(arcs, tuple(crossings), tuple(map(tuple, open_ends)))
 
 
 def load_document(path) -> dict:

@@ -65,9 +65,6 @@ class Polynomial:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def _combine(self, other, flip):
         if not isinstance(other, Polynomial) or other.variables != self.variables:
             return NotImplemented

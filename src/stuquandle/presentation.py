@@ -78,13 +78,15 @@ class Presentation:
 
 
 # In both crossing types the fields after sign are the slots in arcs() order,
-# and self-closure numbers arcs by first use in that order.
+# and self-closure numbers arcs by first use in that order.  kind is the
+# crossing's tag in diagram files; it is a class attribute, not a field.
 
 
 @dataclass(frozen=True)
 class Classical:
     """Classical crossing: the under strand runs under_in -> under_out."""
 
+    kind = "classical"
     sign: int
     over: int
     under_in: int
@@ -97,11 +99,18 @@ class Classical:
         """This crossing with every arc a replaced by new[a]."""
         return Classical(self.sign, new[self.over], new[self.under_in], new[self.under_out])
 
+    def relations(self) -> tuple[Relation, ...]:
+        """Positive: under_out = under_in * over.
+        Negative: under_out = under_in ~* over."""
+        op = STAR if self.sign > 0 else STAR_INV
+        return (Relation(self.under_out, op, self.under_in, self.over),)
+
 
 @dataclass(frozen=True)
 class Stuck:
     """Stuck crossing: strand one runs in1 -> out1, strand two in2 -> out2."""
 
+    kind = "stuck"
     sign: int
     in1: int
     in2: int
@@ -114,6 +123,13 @@ class Stuck:
     def renumbered(self, new) -> Stuck:
         """This crossing with every arc a replaced by new[a]."""
         return Stuck(self.sign, new[self.in1], new[self.in2], new[self.out1], new[self.out2])
+
+    def relations(self) -> tuple[Relation, ...]:
+        """Positive: out1 = R1(in1, in2), out2 = R2(in1, in2).
+        Negative: out1 = R3(in1, in2), out2 = R4(in1, in2)."""
+        first, second = (R1, R2) if self.sign > 0 else (R3, R4)
+        return (Relation(self.out1, first, self.in1, self.in2),
+                Relation(self.out2, second, self.in1, self.in2))
 
 
 @dataclass(frozen=True)
@@ -143,25 +159,9 @@ class CrossingDiagram:
 
 
 def compile_diagram(d: CrossingDiagram, name: str = "") -> Presentation:
-    """Translate crossings into relations.
-
-    Classical, positive:  under_out = under_in * over
-    Classical, negative:  under_out = under_in ~* over
-    Stuck, positive:      out1 = R1(in1, in2),  out2 = R2(in1, in2)
-    Stuck, negative:      out1 = R3(in1, in2),  out2 = R4(in1, in2)
-    """
-    relations = []
-    for c in d.crossings:
-        if isinstance(c, Classical):
-            op = STAR if c.sign > 0 else STAR_INV
-            relations.append(Relation(c.under_out, op, c.under_in, c.over))
-        elif isinstance(c, Stuck):
-            first, second = (R1, R2) if c.sign > 0 else (R3, R4)
-            relations.append(Relation(c.out1, first, c.in1, c.in2))
-            relations.append(Relation(c.out2, second, c.in1, c.in2))
-        else:
-            raise TypeError(f"unknown crossing type {type(c).__name__}")
-    return Presentation(d.arc_count, tuple(relations), name=name)
+    """Each crossing's relations, in crossing order."""
+    relations = tuple(r for c in d.crossings for r in c.relations())
+    return Presentation(d.arc_count, relations, name=name)
 
 
 def enumerate_colorings(P: Presentation, X: FiniteStuquandle):
@@ -256,47 +256,14 @@ def add_kink(d: CrossingDiagram, arc: int, sign: int) -> CrossingDiagram:
     return CrossingDiagram(d.arc_count + 1, d.crossings + (kink,), d.open_ends)
 
 
-@dataclass(frozen=True)
-class InvariantComparison:
-    """Counting and multiset invariants of two presentations over one target."""
-
-    left: str
-    right: str
-    phi_left: PolynomialMultiset
-    phi_right: PolynomialMultiset
-
-    @property
-    def counting_left(self) -> int:
-        return self.phi_left.total()
-
-    @property
-    def counting_right(self) -> int:
-        return self.phi_right.total()
-
-    @property
-    def verdict(self) -> str:
-        return "DISTINGUISHED" if self.phi_left != self.phi_right else "INCONCLUSIVE"
-
-    def to_dict(self) -> dict:
-        return {
-            "left": {
-                "name": self.left,
-                "counting": self.counting_left,
-                "phi": self.phi_left.render(),
-            },
-            "right": {
-                "name": self.right,
-                "counting": self.counting_right,
-                "phi": self.phi_right.render(),
-            },
-            "verdict": self.verdict,
-        }
-
-
-def compare_invariants(P1: Presentation, P2: Presentation, X: FiniteStuquandle) -> InvariantComparison:
-    return InvariantComparison(
-        left=P1.name or "left",
-        right=P2.name or "right",
-        phi_left=phi_invariant(P1, X),
-        phi_right=phi_invariant(P2, X),
-    )
+def compare_invariants(P1: Presentation, P2: Presentation, X: FiniteStuquandle) -> dict:
+    """The comparison document: per side its name, counting invariant and
+    rendered phi, then DISTINGUISHED if the phi multisets differ, else
+    INCONCLUSIVE."""
+    phis = (phi_invariant(P1, X), phi_invariant(P2, X))
+    doc: dict = {
+        side: {"name": P.name or side, "counting": phi.total(), "phi": phi.render()}
+        for side, P, phi in zip(("left", "right"), (P1, P2), phis)
+    }
+    doc["verdict"] = "DISTINGUISHED" if phis[0] != phis[1] else "INCONCLUSIVE"
+    return doc

@@ -162,21 +162,11 @@ def self_closure(d: CrossingDiagram) -> CrossingDiagram:
     return CrossingDiagram(len(number), tuple(c.renumbered(new) for c in d.crossings), ())
 
 
-@dataclass(frozen=True)
-class FoldingReport:
-    """Invariants of one folding: its presentation, coloring count, and
-    coloring-image polynomial multiset."""
-
-    presentation: Presentation
-    phi: PolynomialMultiset
-
-    @property
-    def counting(self) -> int:
-        return self.phi.total()
+def arc_presentation(a: ArcDiagram) -> Presentation:
+    """The presentation of a folding: convert, close, then compile."""
+    return compile_diagram(self_closure(to_crossing_diagram(a)))
 
 
-def folding_invariant(a: ArcDiagram, X: FiniteStuquandle, name: str = "") -> FoldingReport:
-    """Convert, close, compile, then color by X."""
-    closed = self_closure(to_crossing_diagram(a))
-    pres = compile_diagram(closed, name=name)
-    return FoldingReport(presentation=pres, phi=phi_invariant(pres, X))
+def folding_invariant(a: ArcDiagram, X: FiniteStuquandle) -> PolynomialMultiset:
+    """phi of the folding's presentation over X."""
+    return phi_invariant(arc_presentation(a), X)

@@ -130,6 +130,23 @@ def test_stdout_is_byte_identical_between_runs(tmp_path, capsys):
     assert first[0] == 0
 
 
+COMPARE_K1_K2_EX72 = """\
+{
+  "left": {
+    "name": "K1_ex72",
+    "counting": 4,
+    "phi": "1*u^{s1^3*t1^3*s2*t2*s3^3*t3^2*s4^3*t4^2*s5^2*t5} + 3*u^{s1^3*t1^3*s2^2*t2*s3^3*t3^2*t4^2*t5 + s1^3*t1^3*s2*t2*s3^3*t3^2*s4^3*t4^2*s5^2*t5 + s1^3*t1^3*t2*t3^2*s4^3*t4^2*s5*t5}"
+  },
+  "right": {
+    "name": "K2_ex72",
+    "counting": 4,
+    "phi": "1*u^{s1^3*t1^3*s2*t2*s3^3*t3^2*s4^3*t4^2*s5^2*t5} + 3*u^{s1^3*t1^3*s2^2*t2*s3^3*t3^2*t4^2*t5 + s1^3*t1^3*s2*t2*s3^3*t3^2*s4^3*t4^2*s5^2*t5}"
+  },
+  "verdict": "DISTINGUISHED"
+}
+"""
+
+
 def test_compare_reference_pair(tmp_path, capsys):
     left = write_presentation(tmp_path, "K1_ex72")
     right = write_presentation(tmp_path, "K2_ex72")
@@ -139,6 +156,8 @@ def test_compare_reference_pair(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["verdict"] == "DISTINGUISHED"
     assert doc["left"]["counting"] == doc["right"]["counting"] == 4
+    # key order and layout are part of the output, so pin the text itself
+    assert out == COMPARE_K1_K2_EX72
 
 
 def test_rna_convert_and_phi(tmp_path, capsys):

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from stuquandle import AxiomViolation, FormatError
-from stuquandle.catalog import fixture
+from stuquandle.catalog import fixture, list_fixtures
 from stuquandle import formats
 from stuquandle.rna import self_closure, to_crossing_diagram
 
@@ -32,9 +32,30 @@ def test_arc_diagram_round_trip(tmp_path):
 
 
 def test_crossing_diagram_round_trip():
-    closed = self_closure(to_crossing_diagram(fixture("rna_K1_ex74").payload))
-    doc = formats.crossing_diagram_to_dict(closed)
-    assert formats.crossing_diagram_from_dict(doc) == closed
+    # open and closed diagrams of both arc fixtures, then the catalog's
+    # crossing diagrams (the trefoil mixes classical and stuck crossings)
+    diagrams = []
+    for fid in ("rna_K1_ex74", "rna_K2_ex74"):
+        d = to_crossing_diagram(fixture(fid).payload)
+        diagrams += [d, self_closure(d)]
+    diagrams += [fixture(fid).payload["diagram"] for fid in list_fixtures()
+                 if fixture(fid).kind == "presentation"]
+    assert len(diagrams) == 9
+    for d in diagrams:
+        doc = formats.crossing_diagram_to_dict(d)
+        assert formats.crossing_diagram_from_dict(doc) == d
+
+
+@pytest.mark.parametrize("extra", [
+    {"crossings": [["stuck", 1, "x", 0, 0, 0]]},
+    {"crossings": [["classical", True, 0, 1, 1]]},
+    {"crossings": [["stuck", 1, 0, 1, 0, 1.0]]},
+    {"open_ends": 5},
+    {"open_ends": [[0]]},
+], ids=["str_arc", "bool_sign", "float_arc", "open_ends_not_list", "short_open_end"])
+def test_bad_crossing_diagram_is_format_error(extra):
+    with pytest.raises(FormatError):
+        formats.crossing_diagram_from_dict({"arcs": 2, "crossings": [], **extra})
 
 
 def test_missing_key_is_format_error():

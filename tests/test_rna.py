@@ -11,10 +11,12 @@ from stuquandle import (
     StrandCrossing,
     Stripe,
     Stuck,
+    arc_presentation,
     build_stuquandle,
     compile_diagram,
     enumerate_colorings,
     folding_invariant,
+    phi_invariant,
     self_closure,
     to_crossing_diagram,
 )
@@ -121,26 +123,26 @@ def test_folding_reference_coloring_sets():
 
 
 def test_folding_invariant_reports():
-    rep1 = folding_invariant(RNA1, X74)
-    rep2 = folding_invariant(RNA2, X74)
-    assert rep1.counting == rep2.counting == 4
-    assert rep1.counting == rep1.phi.total()
-    assert rep1.phi != rep2.phi  # the enhancement separates the foldings
+    phi1 = folding_invariant(RNA1, X74)
+    phi2 = folding_invariant(RNA2, X74)
+    assert phi1.total() == phi2.total() == 4
+    assert phi1 == phi_invariant(arc_presentation(RNA1), X74)
+    assert phi1 != phi2  # the enhancement separates the foldings
 
 
 def test_folding_invariant_matches_sweep():
     import oracles
     for arc in (RNA1, RNA2):
-        rep = folding_invariant(arc, X74)
-        assert rep.counting == len(oracles.sweep_colorings(rep.presentation, X74))
+        phi = folding_invariant(arc, X74)
+        assert phi.total() == len(oracles.sweep_colorings(arc_presentation(arc), X74))
 
 
 def test_stripe_free_with_one_element_target():
-    assert folding_invariant(ArcDiagram(1), ONE).counting == 1
+    assert folding_invariant(ArcDiagram(1), ONE).total() == 1
 
 
 def test_folding_counting_for_stripe_free_strand():
-    assert folding_invariant(ArcDiagram(1), X74).counting == X74.n
+    assert folding_invariant(ArcDiagram(1), X74).total() == X74.n
 
 
 STUQUANDLE_IDS = tuple(fid for fid in list_fixtures() if fixture(fid).kind == "stuquandle")
