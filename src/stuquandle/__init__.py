@@ -2,8 +2,6 @@
 
 from .algebra import (
     DEFINING,
-    AffineParams,
-    AlexanderParams,
     FiniteStuquandle,
     Subset,
     affine_stuquandle,
@@ -30,12 +28,10 @@ from .errors import (
 from .polynomial import (
     QP_VARS,
     STU_VARS,
-    ElementProfile,
     Polynomial,
     PolynomialMultiset,
     element_profile,
     parse_polynomial,
-    profile_exponents,
     quandle_polynomial,
     stuquandle_polynomial,
     substuquandle_polynomial,

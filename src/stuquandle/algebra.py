@@ -1,4 +1,5 @@
-"""Finite stuquandles: operation tables, axiom checking, parametric families.
+"""Finite stuquandles: operation tables, axiom checking, element profiles,
+parametric families.
 
 A stuquandle is a quandle (X, *) together with four extra binary maps
 R1..R4.  Everything here works on carriers {0..n-1} with the five
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from operator import getitem
 
@@ -82,6 +84,12 @@ def column_inverse(rows):
 def table_from(n: int, fn):
     """Tabulate fn(x, y) mod n over the carrier {0..n-1} as row tuples."""
     return tuple(tuple(fn(x, y) % n for y in range(n)) for x in range(n))
+
+
+def fixed_points(rows, x: int) -> tuple[int, int]:
+    """The trivial actions at x of the table T given by rows: the number of
+    y with T(x, y) = x and the number of y with T(y, x) = y."""
+    return rows[x].count(x), sum(1 for y, row in enumerate(rows) if row[x] == y)
 
 
 def _scan(n: int, axioms) -> None:
@@ -176,6 +184,19 @@ class FiniteStuquandle:
         """
         return (self.star, self.r1, self.r2, self.r3, self.r4)
 
+    @cached_property
+    def profiles(self) -> tuple:
+        """Each element's exponent tuple (s1, t1, ..., s5, t5): s_i and t_i
+        are the fixed_points of the i-th operation in DEFINING at x.
+
+        Computed once per structure; not a field, so equality, hashing and
+        repr ignore it.
+        """
+        return tuple(
+            tuple(itertools.chain.from_iterable(fixed_points(rows, x) for rows in self.defining))
+            for x in range(self.n)
+        )
+
     def operations(self) -> dict[str, tuple]:
         """Name -> rows of the five defining operations and the derived ~*."""
         return {**dict(zip(DEFINING, self.defining)), "~*": self.star_inv}
@@ -208,24 +229,8 @@ def build_stuquandle(n: int, star, r1, r2, r3, r4) -> FiniteStuquandle:
     return FiniteStuquandle(n, star, star_inv, r1, r2, r3, r4)
 
 
-@dataclass(frozen=True)
-class AffineParams:
-    """Parameters (n, a, b, e) of the linear family over Z_n; a must be a unit."""
-
-    n: int
-    a: int
-    b: int
-    e: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("modulus must be positive")
-        if gcd(self.a % self.n, self.n) != 1:
-            raise NonUnit(self.a, self.n)
-
-
-def affine_stuquandle(p: AffineParams) -> FiniteStuquandle:
-    """The linear stuquandle on Z_n:
+def affine_stuquandle(n: int, a: int, b: int, e: int) -> FiniteStuquandle:
+    """The linear stuquandle on Z_n; a must be a unit:
 
         x * y   = a*x + (1-a)*y
         R1(x,y) = b*x + (1-b)*y
@@ -233,7 +238,10 @@ def affine_stuquandle(p: AffineParams) -> FiniteStuquandle:
         R3(x,y) = (1-e)*x + e*y
         R4(x,y) = (1 - a*(1-e))*x + a*(1-e)*y
     """
-    n, a, b, e = p.n, p.a, p.b, p.e
+    if n < 1:
+        raise ValueError("modulus must be positive")
+    if gcd(a % n, n) != 1:
+        raise NonUnit(a, n)
     return build_stuquandle(
         n,
         table_from(n, lambda x, y: a * x + (1 - a) * y),
@@ -244,45 +252,15 @@ def affine_stuquandle(p: AffineParams) -> FiniteStuquandle:
     )
 
 
-@dataclass(frozen=True)
-class AlexanderParams:
-    """Parameters of the two-variable module family specialized to Z_n.
+def alexander_stuquandle(n: int, t: int, v: int, a: int, b: int, c: int,
+                         d: int, e: int, f: int) -> FiniteStuquandle:
+    """The two-variable module family specialized to Z_n; t must be a unit.
 
-    t must be a unit of Z_n; the six coefficients feed the two derived
-    weights that play the roles of b and e in the linear family.
+    It is the linear family with a <- t and the weights a*t + b*v + c*t*v
+    (for R1/R2) and d*t + f*v + e*t*v (for R3/R4) in the roles of b and e;
+    the weights are left unreduced, as table_from reduces every entry mod n.
     """
-
-    n: int
-    t: int
-    v: int
-    a: int
-    b: int
-    c: int
-    d: int
-    e: int
-    f: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("modulus must be positive")
-        if gcd(self.t % self.n, self.n) != 1:
-            raise NonUnit(self.t, self.n)
-
-    @property
-    def alpha_abc(self) -> int:
-        """Weight a*t + b*v + c*t*v used by R1/R2."""
-        return (self.a * self.t + self.b * self.v + self.c * self.t * self.v) % self.n
-
-    @property
-    def alpha_def(self) -> int:
-        """Weight d*t + f*v + e*t*v used by R3/R4."""
-        return (self.d * self.t + self.f * self.v + self.e * self.t * self.v) % self.n
-
-
-def alexander_stuquandle(p: AlexanderParams) -> FiniteStuquandle:
-    """Specialize the module family to Z_n; reduces to the linear family
-    with a <- t, b <- alpha_abc, e <- alpha_def."""
-    return affine_stuquandle(AffineParams(p.n, p.t, p.alpha_abc, p.alpha_def))
+    return affine_stuquandle(n, t, a * t + b * v + c * t * v, d * t + f * v + e * t * v)
 
 
 @dataclass(frozen=True)
@@ -371,10 +349,7 @@ def is_isomorphic(X: FiniteStuquandle, Y: FiniteStuquandle):
     """
     if X.n != Y.n:
         return None
-    from .polynomial import element_profile
-
-    px = [element_profile(X, x) for x in range(X.n)]
-    py = [element_profile(Y, y) for y in range(Y.n)]
+    px, py = X.profiles, Y.profiles
     if sorted(px) != sorted(py):
         return None
     candidates = [

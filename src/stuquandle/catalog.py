@@ -17,7 +17,7 @@ from pathlib import Path
 from . import formats
 from .algebra import Subset, build_stuquandle, table_from
 from .errors import UnknownFixture
-from .polynomial import element_profile, stuquandle_polynomial, substuquandle_polynomial
+from .polynomial import stuquandle_polynomial, substuquandle_polynomial
 from .presentation import (
     Classical,
     CrossingDiagram,
@@ -304,10 +304,7 @@ def verify_fixture(fx: Fixture, workdir) -> list[tuple[str, bool, str]]:
     if fx.kind == "stuquandle":
         formats.save_document(path, doc)
         X = formats.load_stuquandle(path)
-        got_profiles = [
-            [list(p.r), list(p.c)]
-            for p in (element_profile(X, x) for x in range(X.n))
-        ]
+        got_profiles = [[list(p[0::2]), list(p[1::2])] for p in X.profiles]
         check("profiles", got_profiles, fx.expected["profiles"])
         check("stqp", stuquandle_polynomial(X).render(), fx.expected["stqp"])
         for key, want in fx.expected.items():

@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 
 from . import catalog, formats
-from .algebra import AffineParams, AlexanderParams, Subset, affine_stuquandle, alexander_stuquandle
+from .algebra import Subset, affine_stuquandle, alexander_stuquandle
 from .errors import FormatError, StuquandleError
 from .polynomial import stuquandle_polynomial, substuquandle_polynomial
 from .presentation import compare_invariants, enumerate_colorings, phi_invariant
@@ -113,12 +113,12 @@ def _run(args, out: list[str], inputs: list) -> int:
 
     if args.command == "make":
         if args.family == "affine":
-            X = affine_stuquandle(AffineParams(args.n, args.a, args.b, args.e))
+            X = affine_stuquandle(args.n, args.a, args.b, args.e)
         else:
             coeffs = _parse_elements(args.coeffs)
             if len(coeffs) != 6:
                 raise FormatError("--coeffs needs exactly six integers a,b,c,d,e,f")
-            X = alexander_stuquandle(AlexanderParams(args.n, args.t, args.v, *coeffs))
+            X = alexander_stuquandle(args.n, args.t, args.v, *coeffs)
         out.append(json.dumps(formats.stuquandle_to_dict(X), indent=2))
         return 0
 

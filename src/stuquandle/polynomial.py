@@ -9,13 +9,13 @@ polynomial has a canonical text rendering used as the interchange format.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .algebra import (
     FiniteStuquandle,
     Subset,
     _closure_violation,
     _square_rows,
+    fixed_points,
     verify_quandle,
 )
 from .errors import NotClosed
@@ -58,10 +58,6 @@ class Polynomial:
     def zero(cls, variables=STU_VARS) -> "Polynomial":
         return cls(variables)
 
-    @classmethod
-    def monomial(cls, exponents, coeff=1, variables=STU_VARS) -> "Polynomial":
-        return cls(variables, [(tuple(exponents), coeff)])
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
@@ -77,9 +73,6 @@ class Polynomial:
 
     def __sub__(self, other):
         return self._combine(other, flip=True)
-
-    def __neg__(self):
-        return Polynomial(self.variables, [(e, -c) for e, c in self.terms.items()])
 
     def __mul__(self, scalar):
         if not isinstance(scalar, int):
@@ -175,42 +168,16 @@ def parse_polynomial(text: str, variables=STU_VARS) -> Polynomial:
     return Polynomial(variables, terms)
 
 
-@dataclass(frozen=True, order=True)
-class ElementProfile:
-    """Per-element trivial-action counts.
-
-    r[i] counts the y with op_i(x, y) = x, c[i] the y with op_i(y, x) = y,
-    over the operations (*, R1, R2, R3, R4) in that order.
-    """
-
-    r: tuple[int, int, int, int, int]
-    c: tuple[int, int, int, int, int]
-
-
-def element_profile(X: FiniteStuquandle, x: int) -> ElementProfile:
+def element_profile(X: FiniteStuquandle, x: int) -> tuple[int, ...]:
+    """The exponent tuple of x's monomial, X.profiles[x], range checked."""
     if not 0 <= x < X.n:
         raise ValueError(f"element {x} outside the carrier")
-    r = tuple(rows[x].count(x) for rows in X.defining)
-    c = tuple(sum(1 for y, row in enumerate(rows) if row[x] == y) for rows in X.defining)
-    return ElementProfile(r, c)
-
-
-def profile_exponents(profile: ElementProfile) -> tuple[int, ...]:
-    """Interleave (r, c) pairs into the s1,t1,...,s5,t5 exponent order."""
-    out = []
-    for ri, ci in zip(profile.r, profile.c):
-        out.append(ri)
-        out.append(ci)
-    return tuple(out)
-
-
-def _element_monomial(X: FiniteStuquandle, x: int) -> tuple[int, ...]:
-    return profile_exponents(element_profile(X, x))
+    return X.profiles[x]
 
 
 def stuquandle_polynomial(X: FiniteStuquandle) -> Polynomial:
     """Sum over the carrier of the per-element profile monomials."""
-    return Polynomial(STU_VARS, [(_element_monomial(X, x), 1) for x in range(X.n)])
+    return Polynomial(STU_VARS, [(p, 1) for p in X.profiles])
 
 
 def substuquandle_polynomial(S: Subset) -> Polynomial:
@@ -222,19 +189,15 @@ def substuquandle_polynomial(S: Subset) -> Polynomial:
     bad = _closure_violation(S)
     if bad is not None:
         raise NotClosed(S.members, *bad)
-    X = S.parent
-    return Polynomial(STU_VARS, [(_element_monomial(X, x), 1) for x in S.members])
+    profiles = S.parent.profiles
+    return Polynomial(STU_VARS, [(profiles[x], 1) for x in S.members])
 
 
 def quandle_polynomial(table) -> Polynomial:
     """Two-variable polynomial of a plain quandle given by its * table."""
     rows = _square_rows(table)
     verify_quandle(rows)
-    terms = []
-    for x in range(len(rows)):
-        c = sum(1 for y, row in enumerate(rows) if row[x] == y)
-        terms.append(((rows[x].count(x), c), 1))
-    return Polynomial(QP_VARS, terms)
+    return Polynomial(QP_VARS, [(fixed_points(rows, x), 1) for x in range(len(rows))])
 
 
 class PolynomialMultiset:

@@ -9,7 +9,6 @@ import math
 import random
 
 from stuquandle import (
-    AffineParams,
     Polynomial,
     PolynomialMultiset,
     STU_VARS,
@@ -170,7 +169,7 @@ def test_criterion_05_profile_tables():
         assert X.n == len(table)
         for x in range(X.n):
             p = element_profile(X, x)
-            assert (p.r, p.c) == table[x], (sid, x)
+            assert (p[0::2], p[1::2]) == table[x], (sid, x)
     _report(5, "per-element r/c tables of all five reference structures")
 
 
@@ -182,7 +181,7 @@ def test_criterion_06_affine_family_sweep():
                 continue
             for b in range(n):
                 for e in range(n):
-                    affine_stuquandle(AffineParams(n, a, b, e))
+                    affine_stuquandle(n, a, b, e)
                     built += 1
     assert built == sum(
         sum(1 for a in range(1, n) if math.gcd(a, n) == 1) * n * n

@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stuquandle import (
-    AffineParams,
-    AlexanderParams,
     AxiomViolation,
     NonBijectiveColumn,
     NonUnit,
@@ -95,7 +93,7 @@ def test_derived_inverse_consequence_of_eq4():
 
 
 def test_affine_reproduces_reference_tables():
-    X = affine_stuquandle(AffineParams(4, 3, 2, 2))
+    X = affine_stuquandle(4, 3, 2, 2)
     assert X == X1
     assert X.star == ((0, 2, 0, 2), (3, 1, 3, 1), (2, 0, 2, 0), (1, 3, 1, 3))
     assert X.r1 == ((0, 3, 2, 1), (2, 1, 0, 3), (0, 3, 2, 1), (2, 1, 0, 3))
@@ -105,7 +103,7 @@ def test_affine_reproduces_reference_tables():
 
 
 def test_affine_with_identity_action():
-    X = affine_stuquandle(AffineParams(5, 1, 0, 0))
+    X = affine_stuquandle(5, 1, 0, 0)
     for x, y in itertools.product(range(5), repeat=2):
         assert X.star[x][y] == x
         assert X.r1[x][y] == y
@@ -116,29 +114,28 @@ def test_affine_with_identity_action():
 
 def test_affine_rejects_non_unit():
     with pytest.raises(NonUnit) as err:
-        AffineParams(4, 2, 0, 0)
+        affine_stuquandle(4, 2, 0, 0)
     assert err.value.value == 2
 
 
 def test_alexander_specializes_to_affine():
-    X = alexander_stuquandle(AlexanderParams(4, 3, 0, 2, 0, 0, 2, 0, 0))
-    assert X == affine_stuquandle(AffineParams(4, 3, 2, 2))
+    X = alexander_stuquandle(4, 3, 0, 2, 0, 0, 2, 0, 0)
+    assert X == affine_stuquandle(4, 3, 2, 2)
 
 
 def test_alexander_weights():
-    p = AlexanderParams(5, 2, 3, 1, 1, 1, 1, 1, 1)
-    assert p.alpha_abc == (1 * 2 + 1 * 3 + 1 * 2 * 3) % 5
-    assert p.alpha_def == (1 * 2 + 1 * 3 + 1 * 2 * 3) % 5
+    w = (1 * 2 + 1 * 3 + 1 * 2 * 3) % 5
+    assert alexander_stuquandle(5, 2, 3, 1, 1, 1, 1, 1, 1) == affine_stuquandle(5, 2, w, w)
 
 
 def test_alexander_trivial_parameters():
-    X = alexander_stuquandle(AlexanderParams(3, 1, 0, 0, 0, 0, 0, 0, 0))
+    X = alexander_stuquandle(3, 1, 0, 0, 0, 0, 0, 0, 0)
     assert X.n == 3
 
 
 def test_alexander_rejects_non_unit():
     with pytest.raises(NonUnit):
-        AlexanderParams(6, 2, 0, 0, 0, 0, 0, 0, 0)
+        alexander_stuquandle(6, 2, 0, 0, 0, 0, 0, 0, 0)
 
 
 def test_substuquandle_membership():
@@ -265,7 +262,7 @@ def test_affine_family_small_sweep():
                 continue
             for b in range(n):
                 for e in range(n):
-                    affine_stuquandle(AffineParams(n, a, b, e))
+                    affine_stuquandle(n, a, b, e)
 
 
 def _linear(m, p, q):

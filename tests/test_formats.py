@@ -115,3 +115,7 @@ def test_invalid_json_file(tmp_path):
     array.write_text("[1, 2]")
     with pytest.raises(FormatError):
         formats.load_document(array)
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe{\x00}\x00")
+    with pytest.raises(FormatError, match="utf16.json"):
+        formats.load_document(utf16)

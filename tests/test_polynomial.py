@@ -14,7 +14,6 @@ from stuquandle import (
     Subset,
     element_profile,
     parse_polynomial,
-    profile_exponents,
     quandle_polynomial,
     stuquandle_polynomial,
     substuquandle_polynomial,
@@ -37,26 +36,32 @@ ONE = build_stuquandle(1, [[0]], [[0]], [[0]], [[0]], [[0]])
 
 def test_profile_reference_values():
     p = element_profile(X71, 0)
-    assert p.r == (2, 2, 1, 4, 1)
-    assert p.c == (2, 4, 1, 2, 1)
+    assert p[0::2] == (2, 2, 1, 4, 1)
+    assert p[1::2] == (2, 4, 1, 2, 1)
     p = element_profile(X72, 1)
-    assert p.r == (3, 0, 0, 3, 1)
-    assert p.c == (3, 1, 2, 2, 1)
+    assert p[0::2] == (3, 0, 0, 3, 1)
+    assert p[1::2] == (3, 1, 2, 2, 1)
     p = element_profile(ONE, 0)
-    assert p.r == (1, 1, 1, 1, 1)
-    assert p.c == (1, 1, 1, 1, 1)
+    assert p[0::2] == (1, 1, 1, 1, 1)
+    assert p[1::2] == (1, 1, 1, 1, 1)
 
 
 def test_profiles_match_table_counts():
     for X in ALL:
         for x in range(X.n):
             p = element_profile(X, x)
-            assert (p.r, p.c) == oracles.count_profile(X, x)
+            assert (p[0::2], p[1::2]) == oracles.count_profile(X, x)
+
+
+def test_element_profile_rejects_elements_outside_the_carrier():
+    for X in ALL:
+        for x in (-1, X.n):
+            with pytest.raises(ValueError):
+                element_profile(X, x)
 
 
 def test_profile_exponent_interleaving():
-    p = element_profile(X71, 0)
-    assert profile_exponents(p) == (2, 2, 2, 4, 1, 1, 4, 2, 1, 1)
+    assert element_profile(X71, 0) == (2, 2, 2, 4, 1, 1, 4, 2, 1, 1)
 
 
 def test_stqp_reference_renders():
