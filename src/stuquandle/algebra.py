@@ -277,12 +277,6 @@ class Subset:
                 raise ValueError(f"element {m} outside the carrier")
         object.__setattr__(self, "members", members)
 
-    def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
 
 def _closure_violation(s: Subset):
     """First (op, x, y, result) escaping the subset, or None if closed."""

@@ -271,8 +271,7 @@ def payload_document(fx: Fixture) -> dict:
 def _load_target(target: str, workdir: Path):
     """Round-trip a target structure through its file format."""
     path = workdir / f"{target}.json"
-    if not path.exists():
-        formats.save_document(path, payload_document(fixture(target)))
+    formats.save_document(path, payload_document(fixture(target)))
     return formats.load_stuquandle(path)
 
 

@@ -191,7 +191,7 @@ def load_document(path) -> dict:
         raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise FormatError(f"{path} is nested too deeply") from exc

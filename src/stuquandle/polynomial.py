@@ -1,8 +1,9 @@
-"""Exact sparse polynomials and the polynomial invariants of finite stuquandles.
+"""Sparse integer polynomials and the polynomial invariants of finite stuquandles.
 
 The ten-variable polynomials live in s1,t1,...,s5,t5 where index i counts
 trivial actions through the i-th operation (1 <-> *, 2 <-> R1, 3 <-> R2,
-4 <-> R3, 5 <-> R4).  All arithmetic is exact integer arithmetic and every
+4 <-> R3, 5 <-> R4).  Each polynomial is built from (exponents, coefficient)
+pairs, one monomial per element, and repeated exponents add up.  Every
 polynomial has a canonical text rendering used as the interchange format.
 """
 
@@ -27,8 +28,9 @@ QP_VARS = ("s", "t")
 class Polynomial:
     """Sparse polynomial with integer coefficients in a fixed variable list.
 
-    Terms map exponent tuples to nonzero coefficients; the canonical term
-    order is lexicographic descending on the exponent tuple.
+    Built from (exponents, coefficient) pairs; repeated exponents add up and
+    zero sums are dropped.  Terms map exponent tuples to nonzero coefficients;
+    the canonical term order is lexicographic descending on the exponent tuple.
     """
 
     __slots__ = ("variables", "terms")
@@ -37,8 +39,7 @@ class Polynomial:
         variables = tuple(variables)
         width = len(variables)
         clean = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for exps, coeff in items:
+        for exps, coeff in terms:
             exps = tuple(int(e) for e in exps)
             coeff = int(coeff)
             if len(exps) != width:
@@ -54,33 +55,6 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
-    @classmethod
-    def zero(cls, variables=STU_VARS) -> "Polynomial":
-        return cls(variables)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
-
-    def _combine(self, other, flip):
-        if not isinstance(other, Polynomial) or other.variables != self.variables:
-            return NotImplemented
-        merged = list(self.terms.items())
-        merged.extend((e, -c if flip else c) for e, c in other.terms.items())
-        return Polynomial(self.variables, merged)
-
-    def __add__(self, other):
-        return self._combine(other, flip=False)
-
-    def __sub__(self, other):
-        return self._combine(other, flip=True)
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return Polynomial(self.variables, [(e, c * scalar) for e, c in self.terms.items()])
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         return (
             isinstance(other, Polynomial)
@@ -94,22 +68,12 @@ class Polynomial:
     def __repr__(self):
         return f"<Polynomial {self.render()}>"
 
-    def evaluate(self, values: dict[str, int]) -> int:
-        """Evaluate at integer values; every variable must be supplied."""
-        total = 0
-        for exps, coeff in self.terms.items():
-            prod = coeff
-            for var, e in zip(self.variables, exps):
-                prod *= values[var] ** e
-            total += prod
-        return total
-
     def render(self) -> str:
         """Canonical text form; equal strings iff equal polynomials."""
         if not self.terms:
             return "0"
         chunks = []
-        for exps, coeff in self.sorted_terms():
+        for exps, coeff in sorted(self.terms.items(), reverse=True):
             mono = "*".join(
                 v if e == 1 else f"{v}^{e}"
                 for v, e in zip(self.variables, exps)
@@ -137,7 +101,7 @@ def parse_polynomial(text: str, variables=STU_VARS) -> Polynomial:
     index = {v: i for i, v in enumerate(variables)}
     s = text.strip()
     if s == "0":
-        return Polynomial.zero(variables)
+        return Polynomial(variables)
     terms = []
     sign = 1
     first = True
@@ -211,8 +175,7 @@ class PolynomialMultiset:
 
     def __init__(self, entries=()):
         counts: dict[Polynomial, int] = {}
-        items = entries.items() if isinstance(entries, dict) else entries
-        for poly, mult in items:
+        for poly, mult in entries:
             mult = int(mult)
             if mult <= 0:
                 raise ValueError("multiplicities must be positive")

@@ -37,21 +37,22 @@ def _report(num: int, text: str):
     print(f"criterion {num:2d}: PASS  {text}")
 
 
-def _mono(exps) -> Polynomial:
-    return Polynomial(STU_VARS, [(tuple(exps), 1)])
+def _image(*monomials) -> Polynomial:
+    """Sstqp of an image: one monomial per element, repeats adding up."""
+    return Polynomial(STU_VARS, [(e, 1) for e in monomials])
 
 
 STUQUANDLE_IDS = ("X1_ex63", "X2_ex63", "X_ex71", "X_ex72", "X_ex74")
 
 # Frozen per-element monomial exponents (s1,t1,...,s5,t5 order).
-P71 = _mono((2, 2, 2, 4, 1, 1, 4, 2, 1, 1))  # elements 0 and 2
-Q71 = _mono((2, 2, 2, 0, 1, 1, 0, 2, 1, 1))  # elements 1 and 3
-A72 = _mono((3, 3, 1, 1, 3, 2, 3, 2, 2, 1))  # element 0
-B72 = _mono((3, 3, 0, 1, 0, 2, 3, 2, 1, 1))  # element 1
-C72 = _mono((3, 3, 2, 1, 3, 2, 0, 2, 0, 1))  # element 2
-A74 = _mono((4, 4, 1, 2, 1, 4, 2, 4, 1, 1))  # element 0
-B74 = _mono((4, 4, 1, 0, 1, 0, 2, 0, 1, 1))  # elements 1 and 3
-C74 = _mono((4, 4, 1, 2, 1, 0, 2, 4, 1, 1))  # element 2
+P71 = (2, 2, 2, 4, 1, 1, 4, 2, 1, 1)  # elements 0 and 2
+Q71 = (2, 2, 2, 0, 1, 1, 0, 2, 1, 1)  # elements 1 and 3
+A72 = (3, 3, 1, 1, 3, 2, 3, 2, 2, 1)  # element 0
+B72 = (3, 3, 0, 1, 0, 2, 3, 2, 1, 1)  # element 1
+C72 = (3, 3, 2, 1, 3, 2, 0, 2, 0, 1)  # element 2
+A74 = (4, 4, 1, 2, 1, 4, 2, 4, 1, 1)  # element 0
+B74 = (4, 4, 1, 0, 1, 0, 2, 0, 1, 1)  # elements 1 and 3
+C74 = (4, 4, 1, 2, 1, 0, 2, 4, 1, 1)  # element 2
 
 # Frozen profile tables: per element, (r counts, c counts).
 PROFILES = {
@@ -89,13 +90,18 @@ COLORING_SETS = {
 }
 
 PHI_EXPECTED = {
-    ("infinity_0_1_k_plus", "X_ex71"): PolynomialMultiset([(2 * P71, 2), (P71, 2)]),
-    ("trefoil_2_1_k_minus", "X_ex71"): PolynomialMultiset([(P71, 2), (2 * Q71, 2)]),
-    ("K1_ex72", "X_ex72"): PolynomialMultiset([(A72, 1), (A72 + B72 + C72, 3)]),
-    ("K2_ex72", "X_ex72"): PolynomialMultiset([(A72, 1), (A72 + C72, 3)]),
+    ("infinity_0_1_k_plus", "X_ex71"): PolynomialMultiset(
+        [(_image(P71, P71), 2), (_image(P71), 2)]),
+    ("trefoil_2_1_k_minus", "X_ex71"): PolynomialMultiset(
+        [(_image(P71), 2), (_image(Q71, Q71), 2)]),
+    ("K1_ex72", "X_ex72"): PolynomialMultiset(
+        [(_image(A72), 1), (_image(A72, B72, C72), 3)]),
+    ("K2_ex72", "X_ex72"): PolynomialMultiset(
+        [(_image(A72), 1), (_image(A72, C72), 3)]),
     ("rna_K1_ex74", "X_ex74"): PolynomialMultiset(
-        [(A74, 1), (A74 + C74, 1), (2 * B74 + A74 + C74, 2)]),
-    ("rna_K2_ex74", "X_ex74"): PolynomialMultiset([(A74, 1), (A74 + C74, 3)]),
+        [(_image(A74), 1), (_image(A74, C74), 1), (_image(A74, B74, B74, C74), 2)]),
+    ("rna_K2_ex74", "X_ex74"): PolynomialMultiset(
+        [(_image(A74), 1), (_image(A74, C74), 3)]),
 }
 
 

@@ -1,7 +1,9 @@
 import pytest
 
 from stuquandle import UnknownFixture
-from stuquandle.catalog import fixture, list_fixtures, run_golden_sweep
+from stuquandle import formats
+from stuquandle.catalog import (
+    fixture, list_fixtures, payload_document, run_golden_sweep, verify_fixture)
 
 
 REQUIRED = {
@@ -57,3 +59,12 @@ def test_golden_sweep_passes(tmp_path):
     failures = [row for row in rows if not row[2]]
     assert not failures, failures
     assert len(rows) >= 30
+
+
+def test_fixture_check_rewrites_target_files(tmp_path):
+    # a stale X_ex71.json holding another structure must not be trusted
+    formats.save_document(tmp_path / "X_ex71.json", payload_document(fixture("X2_ex63")))
+    results = verify_fixture(fixture("unknot"), tmp_path)
+    assert any(name == "phi:X_ex71" for name, _, _ in results)
+    failures = [row for row in results if not row[1]]
+    assert not failures, failures

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -279,6 +280,12 @@ _IDENTITY2 = [[0, 0], [1, 1]]
      lambda tmp: ["verify", _doc_file(tmp, "X.json", "{not json")]),
     ("deep-nesting", 1, "nested too deeply",
      lambda tmp: ["verify", _doc_file(tmp, "X.json", "[" * 100000 + "]" * 100000)]),
+    pytest.param(
+        ("huge-integer", 1, "X.json is not valid JSON",
+         lambda tmp: ["verify", _doc_file(tmp, "X.json", '{"n": ' + "9" * 5000 + "}")]),
+        id="huge-integer",
+        marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                 reason="no integer string conversion limit")),
     ("IndexOutOfRange", 1, "generator index 5",
      lambda tmp: ["color", _doc_file(tmp, "P.json", {
          "generators": 2, "relations": [{"out": 5, "op": "*", "lhs": 0, "rhs": 1}]}),
