@@ -26,9 +26,28 @@ variable index (1 <-> *, 2 <-> R1, ..., 5 <-> R4).  The thirteen axioms are
     eq9   R4(y, z ~* x) = R4(y * x, z) ~* x
     eq10  (x * R4(y, z)) ~* y = (x ~* R3(y, z)) * z
 
-and they are checked in exactly that order, each over its variables in
-(x, y, z) lexicographic order.  The first failure is reported with its
-witness, so the scan order is part of the output and must not change.
+and they are checked in exactly that order.  The first failure is reported
+with its witness, the first failing (x, y, z) in lexicographic order, so
+the scan order is part of the output and must not change.
+
+Each three-variable axiom is checked over one free variable, with both
+sides written as compositions of whole rows and columns: write S, SI and
+R1..R4 for the rows of *, ~* and R1..R4, a trailing c for columns (Sc[z]
+is the map x -> x * z), and A∘B for the map j -> B[A[j]].
+
+    quandle-i over y   S[x]∘Sc[z]             vs  Sc[z]∘S[S[x][z]]
+    eq1  over z        R1[SI[x][y]]∘Sc[y]     vs  Sc[y]∘R1[x]
+    eq2  over z        R2[SI[x][y]]∘Sc[y]     vs  Sc[y]∘R2[x]
+    eq3  over y        SIc[R1[x][z]]∘Sc[x]    vs  Sc[R2[x][z]]∘SIc[z]
+    eq8  over z        R3[S[y][x]]∘SIc[x]     vs  SIc[x]∘R3[y]
+    eq9  over z        SIc[x]∘R4[y]           vs  R4[S[y][x]]∘SIc[x]
+    eq10 over x        Sc[R4[y][z]]∘SIc[y]    vs  SIc[R3[y][z]]∘Sc[z]
+
+eq2 has both sides followed by * y and eq8 by ~* x.  Those column maps are
+bijections, so they keep the set of failing (x, y, z) and with it the
+first one.  For n <= 256 rows are bytes and A∘B is A.translate(B), one C
+call per composition; above that it is a tuple gather.  The pair axioms
+eq4..eq7 and quandle-iii are compared over their last variable as written.
 """
 
 from __future__ import annotations
@@ -36,6 +55,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from math import gcd
 from operator import getitem
 
@@ -46,17 +66,20 @@ DEFINING = ("*", "R1", "R2", "R3", "R4")
 
 def _square_rows(table, n=None):
     """table as a tuple of row tuples, checked to be a non-empty square
-    table over {0..size-1} and, when n is given, to be n x n."""
-    rows = tuple(tuple(int(v) for v in row) for row in table)
+    table of exact ints over {0..size-1} and, when n is given, to be n x n."""
+    rows = tuple(map(tuple, table))
     size = len(rows)
     if size == 0:
         raise ValueError("operation table must be non-empty")
     for row in rows:
         if len(row) != size:
             raise ValueError("operation table must be square")
-        for v in row:
-            if not 0 <= v < size:
-                raise ValueError(f"table entry {v} outside 0..{size - 1}")
+        # type, min and max run in C; only a bad row is searched entry by entry
+        if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= size:
+            v = next(v for v in row if type(v) is not int or not 0 <= v < size)
+            if type(v) is not int:
+                raise ValueError(f"table entry {v!r} is not an integer")
+            raise ValueError(f"table entry {v} outside 0..{size - 1}")
     if n is not None and size != n:
         raise ValueError(f"expected a {n}x{n} table, got {size}x{size}")
     return rows
@@ -92,20 +115,77 @@ def fixed_points(rows, x: int) -> tuple[int, int]:
     return rows[x].count(x), sum(1 for y, row in enumerate(rows) if row[x] == y)
 
 
+def _bytes_rows(rows):
+    """rows as bytes, plain to be composed and padded to the 256-byte table
+    that bytes.translate composes with."""
+    plain = tuple(map(bytes, rows))
+    return plain, tuple(row.ljust(256, b"\0") for row in plain)
+
+
+def _tuple_rows(rows):
+    return rows, rows
+
+
+def _gather(A, B):
+    return tuple(map(B.__getitem__, A))
+
+
+def _flatten(parts):
+    return tuple(itertools.chain.from_iterable(parts))
+
+
+# A codec is (compose, join, encode).  encode(rows) gives the rows in a left
+# and a right form; compose(A, B)[j] = B[A[j]] takes a left A and a right B
+# and returns a left form, and join concatenates left forms.  bytes.translate
+# composes in C but needs a 256-byte table, so it serves n <= 256 only.
+_BYTES = (bytes.translate, b"".join, _bytes_rows)
+_TUPLES = (_gather, _flatten, _tuple_rows)
+
+
+def _codec(n: int):
+    return _BYTES if n <= 256 else _TUPLES
+
+
 def _scan(n: int, axioms) -> None:
     """Raise AxiomViolation at the first failing (axiom, witness).
 
-    Each axiom is (id, arity, sides): sides(*prefix) takes the first
-    arity - 1 variables and returns both sides of the equation as
-    sequences over the last variable, so the first index where they differ
-    completes the witness.
+    Each axiom is (id, arity, free, sides), free being the position of the
+    free variable.  Of the other variables the last one indexes groups and
+    the ones before it form the head: sides(*head) returns both sides, each
+    one flat sequence of n values of the free variable per group.  The
+    witness is the least failing (x, y, z), so the scan ends an axiom at its
+    first failing head only when every head variable precedes the free one.
     """
-    for axiom, arity, sides in axioms:
-        for prefix in itertools.product(range(n), repeat=arity - 1):
-            lhs, rhs = map(tuple, sides(*prefix))
-            if lhs != rhs:
-                last = next(i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
-                raise AxiomViolation(axiom, prefix + (last,))
+    for axiom, arity, free, sides in axioms:
+        found = []
+        for head in itertools.product(range(n), repeat=max(arity - 2, 0)):
+            lhs, rhs = sides(*head)
+            if lhs == rhs:
+                continue
+            for i, (a, b) in enumerate(zip(lhs, rhs)):
+                if a != b:
+                    group, value = divmod(i, n)
+                    # an arity-1 axiom has a single group and no group variable
+                    others = (*head, group)[:arity - 1]
+                    found.append(others[:free] + (value,) + others[free:])
+            if free >= len(head):
+                break
+        if found:
+            raise AxiomViolation(axiom, min(found))
+
+
+def _quandle_axioms(S, codec):
+    """quandle-i in its composed form and quandle-iii as written; Ta and Tb
+    are the left and right forms of a table T."""
+    compose, join, encode = codec
+    (Sa, Sb), (Sca, Scb) = encode(S), encode(tuple(zip(*S)))
+    elements = tuple(range(len(S)))
+    return (
+        ("quandle-i", 3, 1, lambda x: (
+            join(map(compose, repeat(Sa[x]), Scb)),
+            join(map(compose, Sca, map(Sb.__getitem__, S[x]))))),
+        ("quandle-iii", 1, 0, lambda: (tuple(map(getitem, S, elements)), elements)),
+    )
 
 
 def verify_quandle(S):
@@ -115,48 +195,56 @@ def verify_quandle(S):
     then right distributivity, then idempotency.
     """
     star_inv = column_inverse(S)
-    elements = range(len(S))
-    _scan(len(S), (
-        ("quandle-i", 3, lambda x, y: (
-            S[S[x][y]], map(getitem, map(S.__getitem__, S[x]), S[y]))),
-        ("quandle-iii", 1, lambda: (map(getitem, S, elements), elements)),
-    ))
+    _scan(len(S), _quandle_axioms(S, _codec(len(S))))
     return star_inv
 
 
-def _verify_stuquandle(S, SI, R1, R2, R3, R4):
-    """Check eq1..eq10 in order; the sides are composed from rows (T[a])
-    and columns (Tc[b]) so that T(a, b) = T[a][b] = Tc[b][a]."""
+def _stuquandle_axioms(S, SI, R1, R2, R3, R4, codec):
+    """eq1..eq10 in order: the composed forms of the module docstring, and
+    the pair axioms from rows (T[a]) and columns (Tc[b]), T(a, b) = Tc[b][a].
+    Ta and Tb are left and right forms; a side with one right form per head
+    is joined first and composed once."""
+    compose, join, encode = codec
     Sc, SIc, R3c, R4c = (tuple(zip(*t)) for t in (S, SI, R3, R4))
+    (Sca, Scb), (SIca, SIcb), (R1a, R1b), (R2a, R2b), (R3a, R3b), (R4a, R4b) = map(
+        encode, (Sc, SIc, R1, R2, R3, R4))
+    Sc_all = join(Sca)
     elements = range(len(S))
-    _scan(len(S), (
-        ("eq1", 3, lambda x, y: (
-            map(Sc[y].__getitem__, R1[SI[x][y]]),
-            map(R1[x].__getitem__, Sc[y]))),
-        ("eq2", 3, lambda x, y: (
-            R2[SI[x][y]],
-            map(SIc[y].__getitem__, map(R2[x].__getitem__, Sc[y])))),
-        ("eq3", 3, lambda x, y: (
-            map(Sc[x].__getitem__, map(SI[y].__getitem__, R1[x])),
-            map(getitem, map(SI.__getitem__, map(S[y].__getitem__, R2[x])), elements))),
-        ("eq4", 2, lambda x: (R2[x], map(getitem, R1, S[x]))),
-        ("eq5", 2, lambda x: (
-            map(getitem, map(S.__getitem__, R1[x]), R2[x]),
-            map(getitem, R2, S[x]))),
-        ("eq6", 2, lambda x: (
-            map(getitem, map(S.__getitem__, R3c[x]), R4c[x]),
-            map(getitem, map(R4.__getitem__, S[x]), elements))),
-        ("eq7", 2, lambda x: (R4c[x], map(getitem, map(R3.__getitem__, S[x]), elements))),
-        ("eq8", 3, lambda x, y: (
-            R3[S[y][x]],
-            map(Sc[x].__getitem__, map(R3[y].__getitem__, SIc[x])))),
-        ("eq9", 3, lambda x, y: (
-            map(R4[y].__getitem__, SIc[x]),
-            map(SIc[x].__getitem__, R4[S[y][x]]))),
-        ("eq10", 3, lambda x, y: (
-            map(SIc[y].__getitem__, map(S[x].__getitem__, R4[y])),
-            map(getitem, map(S.__getitem__, map(SI[x].__getitem__, R3[y])), elements))),
-    ))
+    return (
+        ("eq1", 3, 2, lambda x: (
+            join(map(compose, map(R1a.__getitem__, SI[x]), Scb)),
+            compose(Sc_all, R1b[x]))),
+        ("eq2", 3, 2, lambda x: (
+            join(map(compose, map(R2a.__getitem__, SI[x]), Scb)),
+            compose(Sc_all, R2b[x]))),
+        ("eq3", 3, 1, lambda x: (
+            compose(join(map(SIca.__getitem__, R1[x])), Scb[x]),
+            join(map(compose, map(Sca.__getitem__, R2[x]), SIcb)))),
+        ("eq4", 2, 1, lambda: (
+            _flatten(R2), _flatten(map(getitem, R1, row) for row in S))),
+        ("eq5", 2, 1, lambda: (
+            _flatten(map(getitem, map(S.__getitem__, a), b) for a, b in zip(R1, R2)),
+            _flatten(map(getitem, R2, row) for row in S))),
+        ("eq6", 2, 1, lambda: (
+            _flatten(map(getitem, map(S.__getitem__, a), b) for a, b in zip(R3c, R4c)),
+            _flatten(map(getitem, map(R4.__getitem__, row), elements) for row in S))),
+        ("eq7", 2, 1, lambda: (
+            _flatten(R4c), _flatten(map(getitem, map(R3.__getitem__, row), elements) for row in S))),
+        ("eq8", 3, 2, lambda x: (
+            compose(join(map(R3a.__getitem__, Sc[x])), SIcb[x]),
+            join(map(compose, repeat(SIca[x]), R3b)))),
+        ("eq9", 3, 2, lambda x: (
+            join(map(compose, repeat(SIca[x]), R4b)),
+            compose(join(map(R4a.__getitem__, Sc[x])), SIcb[x]))),
+        ("eq10", 3, 0, lambda y: (
+            compose(join(map(Sca.__getitem__, R4[y])), SIcb[y]),
+            join(map(compose, map(SIca.__getitem__, R3[y]), Scb)))),
+    )
+
+
+def _verify_stuquandle(S, SI, R1, R2, R3, R4):
+    """Check eq1..eq10 in order."""
+    _scan(len(S), _stuquandle_axioms(S, SI, R1, R2, R3, R4, _codec(len(S))))
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import sys
 from pathlib import Path
 
 from .algebra import FiniteStuquandle, build_stuquandle
@@ -191,8 +192,11 @@ def load_document(path) -> dict:
         raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+    except json.JSONDecodeError as exc:
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise FormatError(f"{path} is not valid JSON: an integer has more than "
+                          f"{sys.get_int_max_str_digits()} digits") from exc
     except RecursionError as exc:
         raise FormatError(f"{path} is nested too deeply") from exc
     if not isinstance(doc, dict):

@@ -60,22 +60,19 @@ def count_profile(X, x):
     return r, c
 
 
-def first_violation(n, star, r1, r2, r3, r4):
-    """The first failing check in the verifier's order, from raw row lists.
+def equations(n, star, r1, r2, r3, r4):
+    """The twelve equations in the verifier's order, as (axiom id, arity,
+    holds) with holds(*witness) true where the equation holds.
 
-    Returns ("column", (y,)) for the first non-bijective column of *,
-    (axiom id, witness) for the first failing axiom, or None when all
-    thirteen hold.  ~* is inverted here column by column.
+    ~* is inverted here column by column, so the columns of star must be
+    bijections.
     """
-    for y in range(n):
-        if sorted(star[x][y] for x in range(n)) != list(range(n)):
-            return ("column", (y,))
     sinv = [[0] * n for _ in range(n)]
     for x in range(n):
         for y in range(n):
             sinv[star[x][y]][y] = x
     s, si = star, sinv
-    equations = (
+    return (
         # (x * y) * z = (x * z) * (y * z)
         ("quandle-i", 3, lambda x, y, z: s[s[x][y]][z] == s[s[x][z]][s[y][z]]),
         # x * x = x
@@ -101,10 +98,30 @@ def first_violation(n, star, r1, r2, r3, r4):
         # (x * R4(y, z)) ~* y = (x ~* R3(y, z)) * z
         ("eq10", 3, lambda x, y, z: si[s[x][r4[y][z]]][y] == s[si[x][r3[y][z]]][z]),
     )
-    for axiom, arity, holds in equations:
-        for witness in itertools.product(range(n), repeat=arity):
-            if not holds(*witness):
-                return (axiom, witness)
+
+
+def first_failure(n, arity, holds):
+    """The first witness in product order where holds is false, or None."""
+    for witness in itertools.product(range(n), repeat=arity):
+        if not holds(*witness):
+            return witness
+    return None
+
+
+def first_violation(n, star, r1, r2, r3, r4):
+    """The first failing check in the verifier's order, from raw row lists.
+
+    Returns ("column", (y,)) for the first non-bijective column of *,
+    (axiom id, witness) for the first failing axiom, or None when all
+    thirteen hold.
+    """
+    for y in range(n):
+        if sorted(star[x][y] for x in range(n)) != list(range(n)):
+            return ("column", (y,))
+    for axiom, arity, holds in equations(n, star, r1, r2, r3, r4):
+        witness = first_failure(n, arity, holds)
+        if witness is not None:
+            return (axiom, witness)
     return None
 
 

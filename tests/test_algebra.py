@@ -20,6 +20,7 @@ from stuquandle import (
     substuquandle_closure,
     table_from,
 )
+from stuquandle import algebra
 from stuquandle.catalog import fixture
 
 import oracles
@@ -34,10 +35,19 @@ ALL = (X1, X2, X71, X72, X74)
 
 def test_table_rejects_bad_shapes():
     ok = [[0, 1], [0, 1]]
-    for bad in ([[0, 1], [0]], [[0, 2], [1, 0]], []):
-        with pytest.raises(ValueError):
+    for bad, message in (
+        ([[0, 1], [0]], "must be square"),
+        ([[0, 2], [1, 0]], "table entry 2 outside 0..1"),
+        ([], "must be non-empty"),
+        # entries must be exact ints: no truncation, parsing or bool
+        ([[0, 0.7], [1.2, 1]], "table entry 0.7 is not an integer"),
+        ([[0, 0.9], [1, 1]], "table entry 0.9 is not an integer"),
+        ([["0", False], [True, "1"]], "table entry '0' is not an integer"),
+        ([[0, True], [1, 0]], "table entry True is not an integer"),
+    ):
+        with pytest.raises(ValueError, match=message):
             build_stuquandle(2, bad, ok, ok, ok, ok)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             quandle_polynomial(bad)
 
 
@@ -328,3 +338,42 @@ def test_first_witness_matches_oracle(case):
     except AxiomViolation as exc:
         got = (exc.axiom, exc.witness)
     assert got == want
+
+
+@st.composite
+def _random_tables(draw):
+    """A * whose columns are random permutations, and random R1..R4."""
+    n = draw(st.integers(1, 5))
+    columns = [draw(st.permutations(range(n))) for _ in range(n)]
+    table = st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                     min_size=n, max_size=n)
+    star = [[columns[y][x] for y in range(n)] for x in range(n)]
+    return n, [star] + [draw(table) for _ in range(4)]
+
+
+@pytest.mark.parametrize("codec", [algebra._BYTES, algebra._TUPLES], ids=["translate", "tuple"])
+@settings(max_examples=300, deadline=None)
+@given(_random_tables())
+def test_each_axiom_witness_matches_oracle(codec, case):
+    # each equation is scanned alone, so the later axioms and their free-x
+    # and free-y witness rules are reached as often as the first ones; the
+    # tuple codec, used for n > 256, is run here at small n
+    n, tables = case
+    S, R1, R2, R3, R4 = (tuple(map(tuple, t)) for t in tables)
+    SI = algebra.column_inverse(S)
+    declared = (algebra._quandle_axioms(S, codec)
+                + algebra._stuquandle_axioms(S, SI, R1, R2, R3, R4, codec))
+    for (axiom, arity, holds), declaration in zip(oracles.equations(n, *tables), declared):
+        assert declaration[0] == axiom
+        try:
+            algebra._scan(n, [declaration])
+            got = None
+        except AxiomViolation as exc:
+            got = exc.witness
+        assert got == oracles.first_failure(n, arity, holds), axiom
+
+
+def test_translate_serves_carriers_up_to_256():
+    # bytes.translate takes a 256-byte table, so larger carriers use tuples
+    assert algebra._codec(256) is algebra._BYTES
+    assert algebra._codec(257) is algebra._TUPLES
