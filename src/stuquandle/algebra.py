@@ -57,29 +57,43 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from math import gcd
-from operator import getitem
+from operator import getitem, itemgetter
 
 from .errors import AxiomViolation, NonBijectiveColumn, NonUnit
 
 DEFINING = ("*", "R1", "R2", "R3", "R4")
 
 
+def _flatten(parts):
+    return tuple(itertools.chain.from_iterable(parts))
+
+
+def _check_ints(values, what: str) -> None:
+    """Raise ValueError naming the first of values, a sequence, that is not
+    an exact int; a bool is not one.  The type test runs in C over the whole
+    sequence, so containers check all their records' fields in one call."""
+    if list(map(type, values)).count(int) != len(values):
+        bad = next(v for v in values if type(v) is not int)
+        raise ValueError(f"{what} {bad!r} is not an integer")
+
+
 def _square_rows(table, n=None):
     """table as a tuple of row tuples, checked to be a non-empty square
     table of exact ints over {0..size-1} and, when n is given, to be n x n."""
-    rows = tuple(map(tuple, table))
+    rows = tuple(table)
     size = len(rows)
     if size == 0:
         raise ValueError("operation table must be non-empty")
-    for row in rows:
-        if len(row) != size:
-            raise ValueError("operation table must be square")
-        # type, min and max run in C; only a bad row is searched entry by entry
-        if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= size:
-            v = next(v for v in row if type(v) is not int or not 0 <= v < size)
-            if type(v) is not int:
-                raise ValueError(f"table entry {v!r} is not an integer")
-            raise ValueError(f"table entry {v} outside 0..{size - 1}")
+    if set(map(type, rows)) - {list, tuple}:
+        raise ValueError("operation table rows must be lists or tuples")
+    rows = tuple(map(tuple, rows))
+    if set(map(len, rows)) != {size}:
+        raise ValueError("operation table must be square")
+    entries = _flatten(rows)
+    _check_ints(entries, "table entry")
+    if min(entries) < 0 or max(entries) >= size:
+        v = next(v for v in entries if not 0 <= v < size)
+        raise ValueError(f"table entry {v} outside 0..{size - 1}")
     if n is not None and size != n:
         raise ValueError(f"expected a {n}x{n} table, got {size}x{size}")
     return rows
@@ -127,11 +141,8 @@ def _tuple_rows(rows):
 
 
 def _gather(A, B):
-    return tuple(map(B.__getitem__, A))
-
-
-def _flatten(parts):
-    return tuple(itertools.chain.from_iterable(parts))
+    # itemgetter of a single index returns the bare value, not a 1-tuple
+    return itemgetter(*A)(B) if len(A) > 1 else (B[A[0]],)
 
 
 # A codec is (compose, join, encode).  encode(rows) gives the rows in a left
@@ -292,6 +303,7 @@ class FiniteStuquandle:
     def relabel(self, sigma) -> "FiniteStuquandle":
         """Transport the structure along a bijection of the carrier."""
         sigma = tuple(sigma)
+        _check_ints(sigma, "relabeling value")
         if sorted(sigma) != list(range(self.n)):
             raise ValueError("relabeling must be a bijection of the carrier")
 
@@ -311,6 +323,7 @@ def build_stuquandle(n: int, star, r1, r2, r3, r4) -> FiniteStuquandle:
     All thirteen axioms (quandle i-iii plus eq1..eq10) are checked
     exhaustively; the first failure is reported with its witness.
     """
+    _check_ints((n,), "carrier size")
     star, r1, r2, r3, r4 = (_square_rows(t, n) for t in (star, r1, r2, r3, r4))
     star_inv = verify_quandle(star)
     _verify_stuquandle(star, star_inv, r1, r2, r3, r4)
@@ -359,7 +372,9 @@ class Subset:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        members = tuple(sorted(set(int(m) for m in self.members)))
+        members = tuple(self.members)
+        _check_ints(members, "element")
+        members = tuple(sorted(set(members)))
         for m in members:
             if not 0 <= m < self.parent.n:
                 raise ValueError(f"element {m} outside the carrier")
@@ -416,6 +431,10 @@ def _equations(X: FiniteStuquandle, Y: FiniteStuquandle):
 def is_homomorphism(f, X: FiniteStuquandle, Y: FiniteStuquandle) -> bool:
     """True iff f carries each of *, R1..R4 on X to its counterpart on Y."""
     f = tuple(f)
+    try:
+        _check_ints(f, "image")
+    except ValueError:
+        return False
     if len(f) != X.n or any(not 0 <= v < Y.n for v in f):
         return False
     return all(f[c] == opy[f[a]][f[b]] for opy, a, b, c in _equations(X, Y))

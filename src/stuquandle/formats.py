@@ -9,14 +9,16 @@ All three schemas are flat, human-diffable JSON:
                  pos_b, sign], ...], "classicals": [[over_strand, over_pos,
                  under_strand, under_pos, sign], ...]}
 
-Structural problems raise FormatError; mathematical problems (axiom
-failures, bad indices) propagate from the constructors.
+This module checks document shape only: objects, keys, lists and arities,
+raising FormatError.  The constructors check the values (exact integers,
+known operations, ranges), and their ValueError is re-raised as
+FormatError; axiom failures and bad indices propagate as their own types.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
+import functools
 import json
 import sys
 from pathlib import Path
@@ -24,7 +26,6 @@ from pathlib import Path
 from .algebra import FiniteStuquandle, build_stuquandle
 from .errors import FormatError
 from .presentation import (
-    OPS,
     Classical,
     CrossingDiagram,
     Presentation,
@@ -37,39 +38,33 @@ from .rna import ArcDiagram, StrandCrossing, Stripe
 _CROSSING_TYPES = {cls.kind: cls for cls in (Classical, Stuck)}
 
 
-def _require(obj: dict, key: str, kind, what: str):
+def _require(obj: dict, key: str, what: str, kind=None):
     if not isinstance(obj, dict):
         raise FormatError(f"{what} must be a JSON object")
     if key not in obj:
         raise FormatError(f"{what} is missing {key!r}")
     value = obj[key]
-    # bool subclasses int, but JSON true/false is never a valid field value
-    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
+    if kind is not None and not isinstance(value, kind):
         raise FormatError(f"{what} field {key!r} has the wrong type")
     return value
 
 
-def _int_matrix(value, what: str) -> list[list[int]]:
-    if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
-        raise FormatError(f"{what} must be a list of rows")
-    for row in value:
-        for v in row:
-            if type(v) is not int:
-                raise FormatError(f"{what} must contain integers only")
-    return value
-
-
-def _int_lists(raw, size: int, what: str) -> list[list[int]]:
-    """raw itself, once it is checked to be a list of size-integer lists.
-
-    Types are exact, so a bool or float element is rejected.  The check runs
-    over the whole list at once because diagrams hold thousands of entries.
-    """
-    if (not isinstance(raw, list) or set(map(type, raw)) - {list}
-            or set(map(len, raw)) - {size}
-            or set(map(type, itertools.chain.from_iterable(raw))) - {int}):
+def _records(raw, size: int, what: str) -> list[list]:
+    """raw, once checked to be a list of size-element lists (record fields)."""
+    if not isinstance(raw, list) or set(map(type, raw)) - {list} or set(map(len, raw)) - {size}:
         raise FormatError(f"each {what} must be a list of {size} integers")
     return raw
+
+
+def _values_checked_by_constructors(from_dict):
+    """from_dict with a constructor's ValueError re-raised as FormatError."""
+    @functools.wraps(from_dict)
+    def checked(doc: dict):
+        try:
+            return from_dict(doc)
+        except ValueError as exc:
+            raise FormatError(str(exc)) from exc
+    return checked
 
 
 # the file key of each operation in algebra.DEFINING, in that order
@@ -85,16 +80,11 @@ def stuquandle_to_dict(X: FiniteStuquandle, name: str = "") -> dict:
     return doc
 
 
+@_values_checked_by_constructors
 def stuquandle_from_dict(doc: dict) -> FiniteStuquandle:
-    n = _require(doc, "n", int, "stuquandle document")
-    tables = [
-        _int_matrix(_require(doc, key, list, "stuquandle document"), key)
-        for key in TABLE_KEYS
-    ]
-    try:
-        return build_stuquandle(n, *tables)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    n = _require(doc, "n", "stuquandle document")
+    return build_stuquandle(n, *(_require(doc, key, "stuquandle document", list)
+                                 for key in TABLE_KEYS))
 
 
 def presentation_to_dict(P: Presentation) -> dict:
@@ -110,27 +100,17 @@ def presentation_to_dict(P: Presentation) -> dict:
     return doc
 
 
+@_values_checked_by_constructors
 def presentation_from_dict(doc: dict) -> Presentation:
-    count = _require(doc, "generators", int, "presentation document")
-    raw = _require(doc, "relations", list, "presentation document")
-    relations = []
-    for item in raw:
-        out = _require(item, "out", int, "relation")
-        op = _require(item, "op", str, "relation")
-        lhs = _require(item, "lhs", int, "relation")
-        rhs = _require(item, "rhs", int, "relation")
-        if op not in OPS:
-            raise FormatError(f"unknown relation operation {op!r}")
-        relations.append(Relation(out, op, lhs, rhs))
-    name, names = doc.get("name", ""), doc.get("generator_names", [])
-    if not (isinstance(name, str) and isinstance(names, list)
-            and all(isinstance(v, str) for v in names)):
-        raise FormatError("presentation name and generator_names must be strings")
-    try:
-        return Presentation(count, tuple(relations), name=name,
-                            generator_names=tuple(names))
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    count = _require(doc, "generators", "presentation document")
+    raw = _require(doc, "relations", "presentation document", list)
+    fields = [[_require(item, key, "relation") for key in ("out", "op", "lhs", "rhs")]
+              for item in raw]
+    names = doc.get("generator_names", [])
+    if not isinstance(names, list):
+        raise FormatError("presentation generator_names must be a list")
+    return Presentation(count, tuple(Relation(*f) for f in fields),
+                        name=doc.get("name", ""), generator_names=tuple(names))
 
 
 def arc_diagram_to_dict(a: ArcDiagram) -> dict:
@@ -149,14 +129,13 @@ def arc_diagram_to_dict(a: ArcDiagram) -> dict:
     return doc
 
 
+@_values_checked_by_constructors
 def arc_diagram_from_dict(doc: dict) -> ArcDiagram:
-    strands = _require(doc, "strands", int, "arc diagram document")
-    raw_stripes = _require(doc, "stripes", list, "arc diagram document")
-    stripes = [Stripe(*item) for item in _int_lists(raw_stripes, 5, "stripe")]
-    raw_classicals = doc.get("classicals", [])
-    classicals = [StrandCrossing(*item)
-                  for item in _int_lists(raw_classicals, 5, "classical crossing")]
-    return ArcDiagram(strands, tuple(stripes), tuple(classicals))
+    strands = _require(doc, "strands", "arc diagram document")
+    stripes = _records(_require(doc, "stripes", "arc diagram document", list), 5, "stripe")
+    classicals = _records(doc.get("classicals", []), 5, "classical crossing")
+    return ArcDiagram(strands, tuple(Stripe(*item) for item in stripes),
+                      tuple(StrandCrossing(*item) for item in classicals))
 
 
 def crossing_diagram_to_dict(d: CrossingDiagram) -> dict:
@@ -167,19 +146,19 @@ def crossing_diagram_to_dict(d: CrossingDiagram) -> dict:
     return doc
 
 
+@_values_checked_by_constructors
 def crossing_diagram_from_dict(doc: dict) -> CrossingDiagram:
-    arcs = _require(doc, "arcs", int, "crossing diagram document")
+    arcs = _require(doc, "arcs", "crossing diagram document")
     crossings = []
-    for item in _require(doc, "crossings", list, "crossing diagram document"):
+    for item in _require(doc, "crossings", "crossing diagram document", list):
         if not isinstance(item, list) or not item or not isinstance(item[0], str):
             raise FormatError("each crossing must be a list that starts with its kind")
         cls, rest = _CROSSING_TYPES.get(item[0]), item[1:]
         # the entries after the tag are the fields: sign, then the arc slots
-        if (cls is None or len(rest) != len(dataclasses.fields(cls))
-                or set(map(type, rest)) - {int}):
+        if cls is None or len(rest) != len(dataclasses.fields(cls)):
             raise FormatError(f"bad crossing entry {item!r}")
         crossings.append(cls(*rest))
-    open_ends = _int_lists(doc.get("open_ends", []), 2, "open end pair")
+    open_ends = _records(doc.get("open_ends", []), 2, "open end pair")
     return CrossingDiagram(arcs, tuple(crossings), tuple(map(tuple, open_ends)))
 
 

@@ -14,7 +14,9 @@ import re
 from .algebra import (
     FiniteStuquandle,
     Subset,
+    _check_ints,
     _closure_violation,
+    _flatten,
     _square_rows,
     fixed_points,
     verify_quandle,
@@ -37,15 +39,16 @@ class Polynomial:
 
     def __init__(self, variables, terms=()):
         variables = tuple(variables)
-        width = len(variables)
+        terms = [(tuple(exps), coeff) for exps, coeff in terms]
+        exponents = _flatten(exps for exps, _ in terms)
+        _check_ints(exponents, "exponent")
+        _check_ints([coeff for _, coeff in terms], "coefficient")
+        if exponents and min(exponents) < 0:
+            raise ValueError("exponents must be non-negative")
         clean = {}
         for exps, coeff in terms:
-            exps = tuple(int(e) for e in exps)
-            coeff = int(coeff)
-            if len(exps) != width:
-                raise ValueError(f"expected {width} exponents, got {len(exps)}")
-            if any(e < 0 for e in exps):
-                raise ValueError("exponents must be non-negative")
+            if len(exps) != len(variables):
+                raise ValueError(f"expected {len(variables)} exponents, got {len(exps)}")
             coeff += clean.pop(exps, 0)
             if coeff != 0:
                 clean[exps] = coeff
@@ -96,28 +99,20 @@ _FACTOR_RE = re.compile(r"^([A-Za-z][A-Za-z0-9]*)(?:\^(\d+))?$")
 
 
 def parse_polynomial(text: str, variables=STU_VARS) -> Polynomial:
-    """Parse the canonical rendering back into a polynomial."""
+    """Parse the canonical rendering back into a polynomial: "0", or a first
+    term with an optional leading "-", then "+ term" or "- term" pairs."""
     variables = tuple(variables)
     index = {v: i for i, v in enumerate(variables)}
-    s = text.strip()
-    if s == "0":
+    tokens = text.split()
+    if tokens == ["0"]:
         return Polynomial(variables)
+    if len(tokens) % 2 == 0 or set(tokens[1::2]) - {"+", "-"}:
+        raise ValueError(f"cannot parse polynomial {text!r}")
+    signed = [("-", tokens[0][1:]) if tokens[0].startswith("-") else ("+", tokens[0]),
+              *zip(tokens[1::2], tokens[2::2])]
     terms = []
-    sign = 1
-    first = True
-    for token in s.split():
-        if token == "+":
-            sign = 1
-            continue
-        if token == "-":
-            sign = -1
-            continue
-        chunk = token
-        if first and chunk.startswith("-"):
-            sign = -1
-            chunk = chunk[1:]
-        first = False
-        coeff = sign
+    for sign, chunk in signed:
+        coeff = -1 if sign == "-" else 1
         exps = [0] * len(variables)
         for factor in chunk.split("*"):
             if factor.isdigit():
@@ -128,7 +123,6 @@ def parse_polynomial(text: str, variables=STU_VARS) -> Polynomial:
                 raise ValueError(f"cannot parse factor {factor!r}")
             exps[index[m.group(1)]] += int(m.group(2) or 1)
         terms.append((tuple(exps), coeff))
-        sign = 1
     return Polynomial(variables, terms)
 
 
@@ -176,7 +170,7 @@ class PolynomialMultiset:
     def __init__(self, entries=()):
         counts: dict[Polynomial, int] = {}
         for poly, mult in entries:
-            mult = int(mult)
+            _check_ints((mult,), "multiplicity")
             if mult <= 0:
                 raise ValueError("multiplicities must be positive")
             counts[poly] = counts.get(poly, 0) + mult

@@ -11,8 +11,10 @@ from __future__ import annotations
 import string
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 
-from .algebra import DEFINING, FiniteStuquandle, Subset, substuquandle_closure
+from .algebra import (DEFINING, FiniteStuquandle, Subset, _check_ints, _flatten,
+                      substuquandle_closure)
 from .errors import IndexOutOfRange
 from .polynomial import PolynomialMultiset, substuquandle_polynomial
 
@@ -45,16 +47,18 @@ class Presentation:
     def __post_init__(self):
         object.__setattr__(self, "relations", tuple(self.relations))
         object.__setattr__(self, "generator_names", tuple(self.generator_names))
+        indices = _flatten(map(attrgetter("out", "lhs", "rhs"), self.relations))
+        _check_ints((self.generator_count, *indices), "presentation field")
+        if not isinstance(self.name, str) or set(map(type, self.generator_names)) - {str}:
+            raise ValueError("presentation name and generator_names must be strings")
         if self.generator_count < 1:
             raise ValueError("a presentation needs at least one generator")
         if self.generator_names and len(self.generator_names) != self.generator_count:
             raise ValueError("generator_names length mismatch")
-        for rel in self.relations:
-            for idx in (rel.out, rel.lhs, rel.rhs):
-                if not 0 <= idx < self.generator_count:
-                    raise IndexOutOfRange(
-                        f"generator index {idx} outside 0..{self.generator_count - 1}"
-                    )
+        for idx in indices:
+            if not 0 <= idx < self.generator_count:
+                raise IndexOutOfRange(
+                    f"generator index {idx} outside 0..{self.generator_count - 1}")
 
     def generator_label(self, i: int) -> str:
         if self.generator_names:
@@ -144,18 +148,18 @@ class CrossingDiagram:
     def __post_init__(self):
         object.__setattr__(self, "crossings", tuple(self.crossings))
         object.__setattr__(self, "open_ends", tuple(self.open_ends))
+        signs = tuple(map(attrgetter("sign"), self.crossings))
+        arcs = (*_flatten(c.arcs() for c in self.crossings),
+                *(a for first, last in self.open_ends for a in (first, last)))
+        _check_ints((self.arc_count, *signs, *arcs), "crossing diagram field")
         if self.arc_count < 1:
             raise ValueError("a diagram needs at least one arc")
-        for c in self.crossings:
-            if c.sign not in (1, -1):
-                raise ValueError(f"crossing sign must be +1 or -1, got {c.sign}")
-            for a in c.arcs():
-                if not 0 <= a < self.arc_count:
-                    raise IndexOutOfRange(f"arc index {a} outside 0..{self.arc_count - 1}")
-        for first, last in self.open_ends:
-            for a in (first, last):
-                if not 0 <= a < self.arc_count:
-                    raise IndexOutOfRange(f"arc index {a} outside 0..{self.arc_count - 1}")
+        if set(signs) - {1, -1}:
+            sign = next(s for s in signs if s not in (1, -1))
+            raise ValueError(f"crossing sign must be +1 or -1, got {sign}")
+        for a in arcs:
+            if not 0 <= a < self.arc_count:
+                raise IndexOutOfRange(f"arc index {a} outside 0..{self.arc_count - 1}")
 
 
 def compile_diagram(d: CrossingDiagram, name: str = "") -> Presentation:
@@ -249,8 +253,6 @@ def add_kink(d: CrossingDiagram, arc: int, sign: int) -> CrossingDiagram:
     """
     if not 0 <= arc < d.arc_count:
         raise IndexOutOfRange(f"arc index {arc} outside 0..{d.arc_count - 1}")
-    if sign not in (1, -1):
-        raise ValueError(f"kink sign must be +1 or -1, got {sign}")
     new_arc = d.arc_count
     kink = Classical(sign, over=arc, under_in=arc, under_out=new_arc)
     return CrossingDiagram(d.arc_count + 1, d.crossings + (kink,), d.open_ends)

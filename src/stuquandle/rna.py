@@ -10,8 +10,9 @@ loose ends, yielding a closed diagram ready for coloring.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
-from .algebra import FiniteStuquandle
+from .algebra import FiniteStuquandle, _check_ints, _flatten
 from .errors import DanglingEnd, MalformedStripe
 from .polynomial import PolynomialMultiset
 from .presentation import (
@@ -56,6 +57,10 @@ class ArcDiagram:
     def __post_init__(self):
         object.__setattr__(self, "stripes", tuple(self.stripes))
         object.__setattr__(self, "classicals", tuple(self.classicals))
+        _check_ints((self.strand_count,
+                     *_flatten(map(attrgetter(*Stripe.__match_args__), self.stripes)),
+                     *_flatten(map(attrgetter(*StrandCrossing.__match_args__), self.classicals))),
+                    "arc diagram field")
         if self.strand_count < 1:
             raise MalformedStripe("an arc diagram needs at least one strand")
         occupied = set()

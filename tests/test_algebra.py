@@ -44,6 +44,8 @@ def test_table_rejects_bad_shapes():
         ([[0, 0.9], [1, 1]], "table entry 0.9 is not an integer"),
         ([["0", False], [True, "1"]], "table entry '0' is not an integer"),
         ([[0, True], [1, 0]], "table entry True is not an integer"),
+        # a row that is not a list or tuple is a ValueError, not a TypeError
+        ([0, 1], "rows must be lists or tuples"),
     ):
         with pytest.raises(ValueError, match=message):
             build_stuquandle(2, bad, ok, ok, ok, ok)
@@ -194,6 +196,14 @@ def test_perturbed_identity_is_not_homomorphism():
     f = [0, 1, 2, 3]
     f[3] = 0
     assert not is_homomorphism(f, X1, X1)
+
+
+def test_maps_must_hold_exact_ints():
+    # 3.0 == 3 passes a bijection test, yet cannot index a table
+    with pytest.raises(ValueError, match="relabeling value 3.0 is not an integer"):
+        X1.relabel((0, 1, 2, 3.0))
+    assert not is_homomorphism((0.0, 1, 2, 3), X1, X1)
+    assert not is_homomorphism((0, True, 2, 3), X1, X1)
 
 
 def test_isomorphic_to_itself():

@@ -290,6 +290,13 @@ _IDENTITY2 = [[0, 0], [1, 1]]
      lambda tmp: ["color", _doc_file(tmp, "P.json", {
          "generators": 2, "relations": [{"out": 5, "op": "*", "lhs": 0, "rhs": 1}]}),
          write_stuquandle(tmp, "X_ex71")]),
+    ("non-integer-entry", 1, "table entry 0.7 is not an integer",
+     lambda tmp: ["verify", _doc_file(tmp, "X.json", {
+         "n": 2, "star": [[0, 0.7], [1, 1]], "r1": _IDENTITY2, "r2": _IDENTITY2,
+         "r3": _IDENTITY2, "r4": _IDENTITY2})]),
+    ("bool-stripe-sign", 1, "True is not an integer",
+     lambda tmp: ["rna", "convert", _doc_file(tmp, "arc.json", '{"strands": 1, '
+                                              '"stripes": [[0, 0, 10, 30, true]]}')]),
     ("MalformedStripe", 1, "missing strand",
      lambda tmp: ["rna", "convert", _doc_file(tmp, "arc.json", {
          "strands": 1, "stripes": [[0, 3, 10, 30, -1]]})]),

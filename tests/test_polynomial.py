@@ -151,6 +151,16 @@ def test_render_parse_round_trip():
     assert parse_polynomial(qp.render(), QP_VARS) == qp
 
 
+@pytest.mark.parametrize("text", [
+    "s1 s2", "2*s1 + + 3", "s1 +", "+ s1", "- - s1", "s1 + -t1", "", "s1 * t1",
+])
+def test_parse_rejects_text_render_never_writes(text):
+    # signs and terms alternate as render writes them: "0", or a first term
+    # with an optional leading "-", then "+ term" / "- term" pairs
+    with pytest.raises(ValueError):
+        parse_polynomial(text)
+
+
 @st.composite
 def _random_polynomials(draw):
     variables = draw(st.sampled_from((STU_VARS, QP_VARS)))
