@@ -127,7 +127,9 @@ def parse_polynomial(text: str, variables=STU_VARS) -> Polynomial:
 
 
 def element_profile(X: FiniteStuquandle, x: int) -> tuple[int, ...]:
-    """The exponent tuple of x's monomial, X.profiles[x], range checked."""
+    """The exponent tuple of x's monomial, X.profiles[x]; x must be an exact
+    int in the carrier."""
+    _check_ints((x,), "element")
     if not 0 <= x < X.n:
         raise ValueError(f"element {x} outside the carrier")
     return X.profiles[x]

@@ -2,8 +2,13 @@
 
 A presentation lists relations out = op(lhs, rhs) over a set of generators
 (the diagram arcs).  Crossing diagrams are a thin convenience layer that
-compiles to presentations; colorings by a finite stuquandle are enumerated
-with constraint propagation and backtracking.
+compiles to presentations.  Colorings by a finite stuquandle come from one
+engine, enumerate_colorings: preimage lists of each operation table the
+presentation uses, watch lists that send a newly fixed generator to just
+the relations it appears in, and a depth-first search over one assignment
+list, whose trial assignments a trail undoes.  The search branches on the
+lowest undecided generator in increasing value order, so the colorings come
+out in lexicographic order.
 """
 
 from __future__ import annotations
@@ -171,51 +176,111 @@ def compile_diagram(d: CrossingDiagram, name: str = "") -> Presentation:
 def enumerate_colorings(P: Presentation, X: FiniteStuquandle):
     """All relation-satisfying assignments, in lexicographic order.
 
-    Depth-first search that branches on the lowest undecided generator,
-    trying its values in increasing order, so colorings come out already
-    sorted; relations whose inputs are decided determine their output, and
-    * / ~* relations propagate backwards through the column bijections.
-    """
-    ops = X.operations()
-    backs = {STAR: X.star_inv, STAR_INV: X.star}
-    rels = tuple(
-        (r.out, ops[r.op], backs.get(r.op), r.lhs, r.rhs) for r in P.relations
-    )
-    n = X.n
+    Each table T the presentation uses gets two preimage lists, built once:
+    by_lhs[x][z] holds the y with T[x][y] == z, and by_rhs[y][z] the x with
+    T[x][y] == z, each in increasing order.  A watch list maps every
+    generator to the relations it appears in.  When a generator is fixed it
+    joins a queue, and only its relations are looked at again: with lhs and
+    rhs decided the relation fixes or checks out; with out and one operand
+    decided the preimage list of the other operand fails the branch if it
+    is empty and fixes that operand if it has one element.
 
-    def propagate(assign: list[int]) -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for out, rows, back, lhs, rhs in rels:
+    The search is depth first over one assignment list, with no recursion.
+    Every fixed generator goes on a trail, and a trial is undone by
+    resetting the generators on the trail past its mark.  It branches on
+    the lowest undecided generator i, trying in increasing order only the
+    values in every preimage list that applies to i.  All generators below
+    i are decided at that point, so each trial's colorings share their
+    prefix below i and differ from a later trial's at i: the colorings come
+    out in lexicographic order with no sort.
+    """
+    n, ops = X.n, X.operations()
+    preimages = {}
+    for op in {r.op for r in P.relations}:
+        by_lhs = [[[] for _ in range(n)] for _ in range(n)]
+        by_rhs = [[[] for _ in range(n)] for _ in range(n)]
+        for x, row in enumerate(ops[op]):
+            for y, z in enumerate(row):
+                by_lhs[x][z].append(y)
+                by_rhs[y][z].append(x)
+        preimages[op] = (ops[op], by_lhs, by_rhs)
+    watch: list[list[tuple]] = [[] for _ in range(P.generator_count)]
+    for r in P.relations:
+        rel = (r.out, r.lhs, r.rhs, *preimages[r.op])
+        for g in {r.out, r.lhs, r.rhs}:
+            watch[g].append(rel)
+    assign = [-1] * P.generator_count
+    trail: list[int] = []
+
+    def fix(i: int, v: int) -> bool:
+        """Set generator i to v and propagate; False on a contradiction."""
+        assign[i] = v
+        trail.append(i)
+        queue = [i]
+        for g in queue:
+            for out, lhs, rhs, rows, by_lhs, by_rhs in watch[g]:
                 lv, rv, ov = assign[lhs], assign[rhs], assign[out]
                 if lv >= 0 and rv >= 0:
-                    v = rows[lv][rv]
+                    z = rows[lv][rv]
                     if ov < 0:
-                        assign[out] = v
-                        changed = True
-                    elif ov != v:
+                        assign[out] = z
+                        trail.append(out)
+                        queue.append(out)
+                    elif ov != z:
                         return False
-                elif ov >= 0 and rv >= 0 and back is not None:
-                    assign[lhs] = back[ov][rv]
-                    changed = True
+                    continue
+                if ov < 0:
+                    continue
+                if lv >= 0:
+                    only, free = by_lhs[lv][ov], rhs
+                elif rv >= 0:
+                    only, free = by_rhs[rv][ov], lhs
+                else:
+                    continue
+                if len(only) == 1:
+                    assign[free] = only[0]
+                    trail.append(free)
+                    queue.append(free)
+                elif not only:
+                    return False
         return True
 
-    seed = [-1] * P.generator_count
-    stack = [seed] if propagate(seed) else []
+    def candidates(i: int):
+        """Values of the undecided generator i allowed by every preimage
+        list that applies to it, in increasing order."""
+        values = None
+        for out, lhs, rhs, rows, by_lhs, by_rhs in watch[i]:
+            ov = assign[out]
+            if ov < 0:
+                continue
+            if lhs == i and assign[rhs] >= 0:
+                allowed = by_rhs[assign[rhs]][ov]
+            elif rhs == i and assign[lhs] >= 0:
+                allowed = by_lhs[assign[lhs]][ov]
+            else:
+                continue
+            values = allowed if values is None else [v for v in values if v in allowed]
+        return range(n) if values is None else values
+
     results: list[tuple[int, ...]] = []
-    while stack:
-        assign = stack.pop()
+    frames = [(0, iter(candidates(0)), 0)]  # (generator, untried values, trail mark)
+    while frames:
+        i, values, mark = frames[-1]
+        for v in values:
+            for g in trail[mark:]:
+                assign[g] = -1
+            del trail[mark:]
+            if fix(i, v):
+                break
+        else:
+            frames.pop()  # the frame below undoes to its own, earlier mark
+            continue
         try:
-            i = assign.index(-1)
+            i = assign.index(-1, i + 1)
         except ValueError:
             results.append(tuple(assign))
             continue
-        for v in reversed(range(n)):
-            trial = assign.copy()
-            trial[i] = v
-            if propagate(trial):
-                stack.append(trial)
+        frames.append((i, iter(candidates(i)), len(trail)))
     return results
 
 

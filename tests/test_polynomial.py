@@ -65,6 +65,12 @@ def test_element_profile_rejects_elements_outside_the_carrier():
                 element_profile(X, x)
 
 
+def test_element_profile_rejects_non_int_elements():
+    for x in (1.0, True):
+        with pytest.raises(ValueError, match="is not an integer"):
+            element_profile(X71, x)
+
+
 def test_profile_exponent_interleaving():
     assert element_profile(X71, 0) == (2, 2, 2, 4, 1, 1, 4, 2, 1, 1)
 

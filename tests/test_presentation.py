@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 
 import pytest
@@ -181,6 +182,29 @@ def _small_presentations(draw):
     index = st.integers(0, g - 1)
     rels = draw(st.lists(st.tuples(index, st.sampled_from(OPS), index, index), max_size=5))
     return Presentation(g, tuple(Relation(*r) for r in rels))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_presentations(), st.sampled_from(STUQUANDLE_IDS), st.data())
+def test_enumeration_matches_sweep_in_order(pres, sid, data):
+    """Compared as lists, so order counts.  The relabelled copy gives the
+    preimage lists of non-bijective R-tables a non-identity labelling."""
+    X = fixture(sid).payload
+    sigma = data.draw(st.permutations(range(X.n)))
+    for Y in (X, X.relabel(sigma)):
+        assert enumerate_colorings(pres, Y) == oracles.sweep_colorings(pres, Y)
+
+
+def test_deep_propagation_chain():
+    """g_i = g_{i+1} ~* g_0: once g_0 is chosen, each g_{i+1} is fixed only
+    through the preimage list of its relation's left operand, 2999 steps
+    deep."""
+    g = 3000
+    pres = Presentation(g, tuple(Relation(i, "~*", i + 1, 0) for i in range(g - 1)))
+    start = time.perf_counter()
+    got = enumerate_colorings(pres, X71)
+    assert time.perf_counter() - start < 1.0
+    assert got == [(v,) * g for v in range(4)]
 
 
 @settings(max_examples=150, deadline=None)
