@@ -11,6 +11,7 @@ coloring sets.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,46 +38,47 @@ class Fixture:
     expected: dict
 
 
+# The defining operations *, R1, R2, R3, R4 of each structure on Z_n.
 _STUQUANDLES = {
-    "X1_ex63": build_stuquandle(
+    "X1_ex63": (
         4,
-        table_from(4, lambda x, y: 3 * x + 2 * y),
-        table_from(4, lambda x, y: 2 * x + 3 * y),
-        table_from(4, lambda x, y: x),
-        table_from(4, lambda x, y: 3 * x + 2 * y),
-        table_from(4, lambda x, y: y),
+        lambda x, y: 3 * x + 2 * y,
+        lambda x, y: 2 * x + 3 * y,
+        lambda x, y: x,
+        lambda x, y: 3 * x + 2 * y,
+        lambda x, y: y,
     ),
-    "X2_ex63": build_stuquandle(
+    "X2_ex63": (
         4,
-        table_from(4, lambda x, y: x),
-        table_from(4, lambda x, y: y),
-        table_from(4, lambda x, y: x),
-        table_from(4, lambda x, y: y),
-        table_from(4, lambda x, y: x),
+        lambda x, y: x,
+        lambda x, y: y,
+        lambda x, y: x,
+        lambda x, y: y,
+        lambda x, y: x,
     ),
-    "X_ex71": build_stuquandle(
+    "X_ex71": (
         4,
-        table_from(4, lambda x, y: 3 * x + 2 * y),
-        table_from(4, lambda x, y: x + 2 * y * y),
-        table_from(4, lambda x, y: 2 * x * x + y),
-        table_from(4, lambda x, y: 3 * x),
-        table_from(4, lambda x, y: 2 * x + y),
+        lambda x, y: 3 * x + 2 * y,
+        lambda x, y: x + 2 * y * y,
+        lambda x, y: 2 * x * x + y,
+        lambda x, y: 3 * x,
+        lambda x, y: 2 * x + y,
     ),
-    "X_ex72": build_stuquandle(
+    "X_ex72": (
         3,
-        table_from(3, lambda x, y: x),
-        table_from(3, lambda x, y: 2 * y * y),
-        table_from(3, lambda x, y: 2 * x * x),
-        table_from(3, lambda x, y: 2 * x + 2 * x * x),
-        table_from(3, lambda x, y: 2 * y + 2 * y * y),
+        lambda x, y: x,
+        lambda x, y: 2 * y * y,
+        lambda x, y: 2 * x * x,
+        lambda x, y: 2 * x + 2 * x * x,
+        lambda x, y: 2 * y + 2 * y * y,
     ),
-    "X_ex74": build_stuquandle(
+    "X_ex74": (
         4,
-        table_from(4, lambda x, y: x),
-        table_from(4, lambda x, y: 3 * x + y),
-        table_from(4, lambda x, y: x + 3 * y),
-        table_from(4, lambda x, y: x + 2 * y),
-        table_from(4, lambda x, y: 2 * x + y),
+        lambda x, y: x,
+        lambda x, y: 3 * x + y,
+        lambda x, y: x + 3 * y,
+        lambda x, y: x + 2 * y,
+        lambda x, y: 2 * x + y,
     ),
 }
 
@@ -223,9 +225,13 @@ _EXPECTED = {
 }
 
 
-def _build_catalog() -> dict[str, Fixture]:
+@functools.cache
+def _catalog() -> dict[str, Fixture]:
+    """Every fixture, built (and each structure verified) on first use."""
     fixtures = [
-        Fixture(fid, "stuquandle", X, _EXPECTED[fid]) for fid, X in _STUQUANDLES.items()
+        Fixture(fid, "stuquandle", build_stuquandle(n, *(table_from(n, op) for op in ops)),
+                _EXPECTED[fid])
+        for fid, (n, *ops) in _STUQUANDLES.items()
     ]
     fixtures += [
         Fixture(fid, "presentation",
@@ -239,16 +245,13 @@ def _build_catalog() -> dict[str, Fixture]:
     return {fx.id: fx for fx in fixtures}
 
 
-_CATALOG = _build_catalog()
-
-
 def list_fixtures() -> list[str]:
-    return list(_CATALOG)
+    return list(_catalog())
 
 
 def fixture(fixture_id: str) -> Fixture:
     try:
-        return _CATALOG[fixture_id]
+        return _catalog()[fixture_id]
     except KeyError:
         raise UnknownFixture(fixture_id) from None
 

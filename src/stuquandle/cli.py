@@ -1,10 +1,17 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 malformed input or usage error, 2 axiom or
-closure violation (with a witness on stderr), 3 unknown fixture; each
+Exit codes: 0 success, 1 malformed input or usage error (or stdout closed
+before all output was written, as by `| head`; no error line then), 2 axiom
+or closure violation (with a witness on stderr), 3 unknown fixture; each
 error class in `errors` declares its own code.
 Identical invocations produce byte-identical stdout; the optional
 --report file additionally records inputs digest and timing.
+
+Every command is one entry of `_COMMANDS`, which drives both the parser and
+the dispatch. A call builds only the parser of the command it names: building
+every command's parser takes longer than a small job. Help, an unknown
+command and every usage error re-parse with the full tree, so their text and
+exit codes come from the one parser that knows every command.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import tempfile
 import time
@@ -35,65 +43,6 @@ class _Parser(argparse.ArgumentParser):
         raise FormatError(message)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="stuquandle", description=__doc__.splitlines()[0])
-    parser.add_argument("--report", metavar="PATH", help="write a JSON run report")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="check all thirteen axioms of a structure file")
-    p.add_argument("stuquandle")
-
-    p = sub.add_parser("make", help="emit a structure from a parametric family")
-    family = p.add_subparsers(dest="family", required=True)
-    aff = family.add_parser("affine")
-    aff.add_argument("--n", type=int, required=True)
-    aff.add_argument("--a", type=int, required=True)
-    aff.add_argument("--b", type=int, required=True)
-    aff.add_argument("--e", type=int, required=True)
-    alx = family.add_parser("alexander")
-    alx.add_argument("--n", type=int, required=True)
-    alx.add_argument("--t", type=int, required=True)
-    alx.add_argument("--v", type=int, required=True)
-    alx.add_argument("--coeffs", required=True,
-                     help="six comma-separated integers a,b,c,d,e,f")
-
-    p = sub.add_parser("poly", help="print the ten-variable polynomial")
-    p.add_argument("stuquandle")
-
-    p = sub.add_parser("subpoly", help="print the polynomial of a closed subset")
-    p.add_argument("stuquandle")
-    p.add_argument("--subset", required=True, help="comma-separated elements, e.g. 1,3")
-
-    p = sub.add_parser("color", help="enumerate colorings of a presentation")
-    p.add_argument("presentation")
-    p.add_argument("stuquandle")
-
-    p = sub.add_parser("phi", help="print the coloring-image polynomial multiset")
-    p.add_argument("presentation")
-    p.add_argument("stuquandle")
-
-    p = sub.add_parser("compare", help="compare two presentations over one target")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("stuquandle")
-
-    p = sub.add_parser("rna", help="arc diagram operations")
-    rna = p.add_subparsers(dest="rna_command", required=True)
-    conv = rna.add_parser("convert")
-    conv.add_argument("arc")
-    rphi = rna.add_parser("phi")
-    rphi.add_argument("arc")
-    rphi.add_argument("stuquandle")
-
-    p = sub.add_parser("catalog", help="built-in fixtures")
-    cat = p.add_subparsers(dest="catalog_command", required=True)
-    cat.add_parser("list")
-    show = cat.add_parser("show")
-    show.add_argument("id")
-    cat.add_parser("check")
-    return parser
-
-
 def _parse_elements(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(v) for v in text.split(","))
@@ -101,94 +50,160 @@ def _parse_elements(text: str) -> tuple[int, ...]:
         raise FormatError(f"bad element list {text!r}") from exc
 
 
-def _run(args, out: list[str], inputs: list) -> int:
-    def slurp(path):
-        inputs.append(path)
-        return path
+# A runner gets the parsed arguments, the output lines to extend and `load`,
+# which records an input path for the report; it returns only a nonzero exit code.
 
-    if args.command == "verify":
-        X = formats.load_stuquandle(slurp(args.stuquandle))
-        out.append(f"valid stuquandle: n={X.n}, 13 axioms hold")
-        return 0
+def _verify(args, out, load):
+    X = formats.load_stuquandle(load(args.stuquandle))
+    out.append(f"valid stuquandle: n={X.n}, 13 axioms hold")
 
-    if args.command == "make":
-        if args.family == "affine":
-            X = affine_stuquandle(args.n, args.a, args.b, args.e)
+
+def _make_affine(args, out, load):
+    X = affine_stuquandle(args.n, args.a, args.b, args.e)
+    out.append(json.dumps(formats.stuquandle_to_dict(X), indent=2))
+
+
+def _make_alexander(args, out, load):
+    coeffs = _parse_elements(args.coeffs)
+    if len(coeffs) != 6:
+        raise FormatError("--coeffs needs exactly six integers a,b,c,d,e,f")
+    X = alexander_stuquandle(args.n, args.t, args.v, *coeffs)
+    out.append(json.dumps(formats.stuquandle_to_dict(X), indent=2))
+
+
+def _poly(args, out, load):
+    X = formats.load_stuquandle(load(args.stuquandle))
+    out.append(stuquandle_polynomial(X).render())
+
+
+def _subpoly(args, out, load):
+    X = formats.load_stuquandle(load(args.stuquandle))
+    members = _parse_elements(args.subset)
+    out.append(substuquandle_polynomial(Subset(X, members)).render())
+
+
+def _color(args, out, load):
+    P = formats.load_presentation(load(args.presentation))
+    X = formats.load_stuquandle(load(args.stuquandle))
+    colorings = enumerate_colorings(P, X)
+    for c in colorings:
+        out.append(" ".join(str(v) for v in c))
+    out.append(f"count {len(colorings)}")
+
+
+def _phi(args, out, load):
+    P = formats.load_presentation(load(args.presentation))
+    X = formats.load_stuquandle(load(args.stuquandle))
+    out.append(phi_invariant(P, X).render())
+
+
+def _compare(args, out, load):
+    left = formats.load_presentation(load(args.left))
+    right = formats.load_presentation(load(args.right))
+    X = formats.load_stuquandle(load(args.stuquandle))
+    out.append(json.dumps(compare_invariants(left, right, X), indent=2))
+
+
+def _rna_convert(args, out, load):
+    pres = arc_presentation(formats.load_arc_diagram(load(args.arc)))
+    out.append(json.dumps(formats.presentation_to_dict(pres), indent=2))
+
+
+def _rna_phi(args, out, load):
+    arc = formats.load_arc_diagram(load(args.arc))
+    X = formats.load_stuquandle(load(args.stuquandle))
+    out.append(folding_invariant(arc, X).render())
+
+
+def _catalog_show(args, out, load):
+    fx = catalog.fixture(args.id)
+    doc = {"id": fx.id, "kind": fx.kind,
+           "payload": catalog.payload_document(fx), "expected": fx.expected}
+    out.append(json.dumps(doc, indent=2))
+
+
+def _catalog_check(args, out, load):
+    with tempfile.TemporaryDirectory() as tmp:
+        rows = catalog.run_golden_sweep(tmp)
+    failures = 0
+    for fid, name, ok, detail in rows:
+        if ok:
+            out.append(f"ok   {fid} {name}")
         else:
-            coeffs = _parse_elements(args.coeffs)
-            if len(coeffs) != 6:
-                raise FormatError("--coeffs needs exactly six integers a,b,c,d,e,f")
-            X = alexander_stuquandle(args.n, args.t, args.v, *coeffs)
-        out.append(json.dumps(formats.stuquandle_to_dict(X), indent=2))
-        return 0
+            failures += 1
+            out.append(f"FAIL {fid} {name}: {detail}")
+    out.append(f"{len(rows) - failures} of {len(rows)} checks passed")
+    return failures and _VIOLATION_EXIT
 
-    if args.command == "poly":
-        X = formats.load_stuquandle(slurp(args.stuquandle))
-        out.append(stuquandle_polynomial(X).render())
-        return 0
 
-    if args.command == "subpoly":
-        X = formats.load_stuquandle(slurp(args.stuquandle))
-        members = _parse_elements(args.subset)
-        out.append(substuquandle_polynomial(Subset(X, members)).render())
-        return 0
+# The commands, for parsing and dispatch alike: name -> (help, runner,
+# arguments) or, for a family of subcommands, name -> (help, dest, {name:
+# command}). An argument "--x" is a required option, an integer unless
+# _OPTIONS says otherwise.
+_COMMANDS = {
+    "verify": ("check all thirteen axioms of a structure file", _verify, "stuquandle"),
+    "make": ("emit a structure from a parametric family", "family", {
+        "affine": (None, _make_affine, "--n --a --b --e"),
+        "alexander": (None, _make_alexander, "--n --t --v --coeffs"),
+    }),
+    "poly": ("print the ten-variable polynomial", _poly, "stuquandle"),
+    "subpoly": ("print the polynomial of a closed subset", _subpoly, "stuquandle --subset"),
+    "color": ("enumerate colorings of a presentation", _color, "presentation stuquandle"),
+    "phi": ("print the coloring-image polynomial multiset", _phi, "presentation stuquandle"),
+    "compare": ("compare two presentations over one target", _compare, "left right stuquandle"),
+    "rna": ("arc diagram operations", "rna_command", {
+        "convert": (None, _rna_convert, "arc"),
+        "phi": (None, _rna_phi, "arc stuquandle"),
+    }),
+    "catalog": ("built-in fixtures", "catalog_command", {
+        "list": (None, lambda args, out, load: out.extend(catalog.list_fixtures()), ""),
+        "show": (None, _catalog_show, "id"),
+        "check": (None, _catalog_check, ""),
+    }),
+}
+_OPTIONS = {"--coeffs": {"help": "six comma-separated integers a,b,c,d,e,f"},
+            "--subset": {"help": "comma-separated elements, e.g. 1,3"}}
 
-    if args.command == "color":
-        P = formats.load_presentation(slurp(args.presentation))
-        X = formats.load_stuquandle(slurp(args.stuquandle))
-        colorings = enumerate_colorings(P, X)
-        for c in colorings:
-            out.append(" ".join(str(v) for v in c))
-        out.append(f"count {len(colorings)}")
-        return 0
 
-    if args.command == "phi":
-        P = formats.load_presentation(slurp(args.presentation))
-        X = formats.load_stuquandle(slurp(args.stuquandle))
-        out.append(phi_invariant(P, X).render())
-        return 0
+def _add_command(sub, name, help, run, arguments):
+    # a subcommand given no help gets no line in its family's help
+    p = sub.add_parser(name, **({"help": help} if help else {}))
+    if isinstance(run, str):
+        family = p.add_subparsers(dest=run, required=True)
+        for child, command in arguments.items():
+            _add_command(family, child, *command)
+        return
+    for arg in arguments.split():
+        if arg.startswith("--"):
+            p.add_argument(arg, required=True, **_OPTIONS.get(arg, {"type": int}))
+        else:
+            p.add_argument(arg)
+    p.set_defaults(run=run)
 
-    if args.command == "compare":
-        left = formats.load_presentation(slurp(args.left))
-        right = formats.load_presentation(slurp(args.right))
-        X = formats.load_stuquandle(slurp(args.stuquandle))
-        out.append(json.dumps(compare_invariants(left, right, X), indent=2))
-        return 0
 
-    if args.command == "rna":
-        if args.rna_command == "convert":
-            arc = formats.load_arc_diagram(slurp(args.arc))
-            pres = arc_presentation(arc)
-            out.append(json.dumps(formats.presentation_to_dict(pres), indent=2))
-            return 0
-        arc = formats.load_arc_diagram(slurp(args.arc))
-        X = formats.load_stuquandle(slurp(args.stuquandle))
-        out.append(folding_invariant(arc, X).render())
-        return 0
+def _build_parser(only=None) -> _Parser:
+    """The parser of every command, or of the command `only` alone."""
+    parser = _Parser(prog="stuquandle", description=__doc__.splitlines()[0])
+    parser.add_argument("--report", metavar="PATH", help="write a JSON run report")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        if only in (None, name):
+            _add_command(sub, name, *command)
+    return parser
 
-    if args.command == "catalog":
-        if args.catalog_command == "list":
-            out.extend(catalog.list_fixtures())
-            return 0
-        if args.catalog_command == "show":
-            fx = catalog.fixture(args.id)
-            doc = {"id": fx.id, "kind": fx.kind,
-                   "payload": catalog.payload_document(fx), "expected": fx.expected}
-            out.append(json.dumps(doc, indent=2))
-            return 0
-        with tempfile.TemporaryDirectory() as tmp:
-            rows = catalog.run_golden_sweep(tmp)
-        failures = 0
-        for fid, name, ok, detail in rows:
-            if ok:
-                out.append(f"ok   {fid} {name}")
-            else:
-                failures += 1
-                out.append(f"FAIL {fid} {name}: {detail}")
-        out.append(f"{len(rows) - failures} of {len(rows)} checks passed")
-        return 0 if failures == 0 else _VIOLATION_EXIT
 
-    raise FormatError(f"unknown command {args.command!r}")
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse with the parser of the first command named in argv alone. The
+    root's options are the same in both trees, so a reduced parse that
+    succeeds gives what the full tree gives; help, no named command and
+    any usage error re-parse with the full tree instead."""
+    name = next((a for a in argv if a in _COMMANDS), None)
+    if name and not any(a.startswith(("-h", "--h")) for a in argv):
+        try:
+            return _build_parser(name).parse_args(argv)
+        except FormatError:
+            pass
+    return _build_parser().parse_args(argv)
 
 
 def _digest(path) -> str:
@@ -197,21 +212,32 @@ def _digest(path) -> str:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     started = time.monotonic()
     out: list[str] = []
     inputs: list = []
+
+    def load(path):
+        inputs.append(path)
+        return path
+
     try:
-        args = parser.parse_args(argv)
-        code = _run(args, out, inputs)
+        args = _parse(argv)
+        code = args.run(args, out, load) or 0
     except (StuquandleError, ValueError) as exc:
         # each package error names its own exit code; a plain ValueError is 1
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", _USAGE_EXIT)
 
     text = "\n".join(out)
-    if text:
-        print(text)
+    try:
+        if text:
+            print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull so that the flush at
+        # exit does not raise again (the recipe of the `signal` docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _USAGE_EXIT
     if args.report:
         report = {
             "command": argv,

@@ -1,9 +1,17 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stuquandle import formats
+import stuquandle
+from stuquandle import FormatError, cli, formats
 from stuquandle.catalog import fixture, list_fixtures
 from stuquandle.cli import entry_point, main
 
@@ -326,3 +334,81 @@ def test_error_class_exit_codes(tmp_path, capsys, case):
     assert err.startswith("error: ") and message in err
     assert len(err.splitlines()) == 1
     assert "set_int_max_str_digits" not in err  # advice no CLI user can follow
+
+
+def _parse_outcome(parse, argv):
+    """What one parse of argv gives: a namespace, a usage error message, or
+    an exit (help) with its code and stdout."""
+    stdout = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(stdout):
+            return "namespace", vars(parse(list(argv)))
+    except FormatError as exc:
+        return "usage error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, stdout.getvalue()
+
+
+def _full_tree(argv):
+    return cli._build_parser().parse_args(argv)
+
+
+_WORDS = ["verify", "make", "affine", "alexander", "poly", "subpoly", "color", "phi",
+          "compare", "rna", "convert", "catalog", "list", "show", "check", "frobnicate",
+          "-h", "--help", "--he", "--report", "--rep", "--report=r.json", "--n",
+          "--subset", "--coeffs", "X.json", "P.json", "arc.json", "3", "-1", "1,3"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_WORDS), max_size=7))
+def test_parse_matches_full_tree(argv):
+    assert _parse_outcome(cli._parse, argv) == _parse_outcome(_full_tree, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["verify", "-h"], ["-h", "verify"], ["rna"], ["rna", "frobnicate"],
+    ["make", "affine", "--n", "x"], [], ["--rep", "r.json", "poly", "X.json"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_parse_matches_full_tree_pinned(argv):
+    outcome = _parse_outcome(cli._parse, argv)
+    assert outcome == _parse_outcome(_full_tree, argv)
+    if argv[:1] == ["-h"]:  # the root's help lists every command, whatever follows -h
+        assert outcome[:2] == ("exit", 0) and all(name in outcome[2] for name in cli._COMMANDS)
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["verify", "X.json"], ["verify"]),
+    (["--report", "r.json", "rna", "convert", "arc.json"], ["rna", "convert", "phi"]),
+    (["frobnicate"], ["verify", "make", "affine", "alexander", "poly", "subpoly", "color",
+                      "phi", "compare", "rna", "convert", "phi", "catalog", "list", "show",
+                      "check"]),
+])
+def test_parse_builds_only_the_named_command(monkeypatch, argv, built):
+    added = []
+    add_command = cli._add_command
+    monkeypatch.setattr(cli, "_add_command",
+                        lambda sub, name, *rest: added.append(name) or add_command(sub, name, *rest))
+    with contextlib.suppress(FormatError):
+        cli._parse(argv)
+    assert added == built
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_closed_stdout_is_exit_one_without_traceback(buffered):
+    # buffered, the write fails at the flush; unbuffered, already in print
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    src = str(Path(stuquandle.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "stuquandle.cli", "catalog", "show", "trefoil_2_1_k_minus"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr and b"Exception ignored" not in proc.stderr
+    assert len(proc.stderr.splitlines()) <= 1
