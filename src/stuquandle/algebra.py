@@ -70,11 +70,20 @@ def _flatten(parts):
 
 def _check_ints(values, what: str) -> None:
     """Raise ValueError naming the first of values, a sequence, that is not
-    an exact int; a bool is not one.  The type test runs in C over the whole
-    sequence, so containers check all their records' fields in one call."""
+    an exact int; a bool is not one.  The type test runs in C, and a record
+    is a tuple of its fields, so a container checks _flatten(records) in one
+    call."""
     if list(map(type, values)).count(int) != len(values):
         bad = next(v for v in values if type(v) is not int)
         raise ValueError(f"{what} {bad!r} is not an integer")
+
+
+def _check_range(values, size: int, what: str, error=ValueError) -> None:
+    """Raise error naming the first of values, a sequence of exact ints,
+    outside 0..size-1.  min and max run in C; only a failure scans again."""
+    if values and (min(values) < 0 or max(values) >= size):
+        bad = next(v for v in values if not 0 <= v < size)
+        raise error(f"{what} {bad} outside 0..{size - 1}")
 
 
 def _square_rows(table, n=None):
@@ -91,9 +100,7 @@ def _square_rows(table, n=None):
         raise ValueError("operation table must be square")
     entries = _flatten(rows)
     _check_ints(entries, "table entry")
-    if min(entries) < 0 or max(entries) >= size:
-        v = next(v for v in entries if not 0 <= v < size)
-        raise ValueError(f"table entry {v} outside 0..{size - 1}")
+    _check_range(entries, size, "table entry")
     if n is not None and size != n:
         raise ValueError(f"expected a {n}x{n} table, got {size}x{size}")
     return rows

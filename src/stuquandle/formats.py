@@ -9,15 +9,16 @@ All three schemas are flat, human-diffable JSON:
                  pos_b, sign], ...], "classicals": [[over_strand, over_pos,
                  under_strand, under_pos, sign], ...]}
 
+A record is its file row, fields in order: a stripe or classical is its
+list, a crossing [kind, *fields] and a relation {"out", "op", "lhs", "rhs"}.
 This module checks document shape only: objects, keys, lists and arities,
-raising FormatError.  The constructors check the values (exact integers,
-known operations, ranges), and their ValueError is re-raised as
+raising FormatError.  The containers check their records' values (exact
+integers, known operations, ranges), and their ValueError is re-raised as
 FormatError; axiom failures and bad indices propagate as their own types.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import sys
@@ -94,9 +95,7 @@ def presentation_to_dict(P: Presentation) -> dict:
     doc["generators"] = P.generator_count
     if P.generator_names:
         doc["generator_names"] = list(P.generator_names)
-    doc["relations"] = [
-        {"out": r.out, "op": r.op, "lhs": r.lhs, "rhs": r.rhs} for r in P.relations
-    ]
+    doc["relations"] = [r._asdict() for r in P.relations]
     return doc
 
 
@@ -104,8 +103,7 @@ def presentation_to_dict(P: Presentation) -> dict:
 def presentation_from_dict(doc: dict) -> Presentation:
     count = _require(doc, "generators", "presentation document")
     raw = _require(doc, "relations", "presentation document", list)
-    fields = [[_require(item, key, "relation") for key in ("out", "op", "lhs", "rhs")]
-              for item in raw]
+    fields = [[_require(item, key, "relation") for key in Relation._fields] for item in raw]
     names = doc.get("generator_names", [])
     if not isinstance(names, list):
         raise FormatError("presentation generator_names must be a list")
@@ -114,18 +112,9 @@ def presentation_from_dict(doc: dict) -> Presentation:
 
 
 def arc_diagram_to_dict(a: ArcDiagram) -> dict:
-    doc = {
-        "strands": a.strand_count,
-        "stripes": [
-            [s.strand_a, s.strand_b, s.position_a, s.position_b, s.sign]
-            for s in a.stripes
-        ],
-    }
+    doc = {"strands": a.strand_count, "stripes": [list(s) for s in a.stripes]}
     if a.classicals:
-        doc["classicals"] = [
-            [c.over_strand, c.over_position, c.under_strand, c.under_position, c.sign]
-            for c in a.classicals
-        ]
+        doc["classicals"] = [list(c) for c in a.classicals]
     return doc
 
 
@@ -139,7 +128,7 @@ def arc_diagram_from_dict(doc: dict) -> ArcDiagram:
 
 
 def crossing_diagram_to_dict(d: CrossingDiagram) -> dict:
-    crossings = [[c.kind, c.sign, *c.arcs()] for c in d.crossings]
+    crossings = [[c.kind, *c] for c in d.crossings]
     doc: dict = {"arcs": d.arc_count, "crossings": crossings}
     if d.open_ends:
         doc["open_ends"] = [list(pair) for pair in d.open_ends]
@@ -154,8 +143,7 @@ def crossing_diagram_from_dict(doc: dict) -> CrossingDiagram:
         if not isinstance(item, list) or not item or not isinstance(item[0], str):
             raise FormatError("each crossing must be a list that starts with its kind")
         cls, rest = _CROSSING_TYPES.get(item[0]), item[1:]
-        # the entries after the tag are the fields: sign, then the arc slots
-        if cls is None or len(rest) != len(dataclasses.fields(cls)):
+        if cls is None or len(rest) != len(cls._fields):
             raise FormatError(f"bad crossing entry {item!r}")
         crossings.append(cls(*rest))
     open_ends = _records(doc.get("open_ends", []), 2, "open end pair")

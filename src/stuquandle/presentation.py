@@ -17,9 +17,10 @@ import string
 from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
+from typing import NamedTuple
 
-from .algebra import (DEFINING, FiniteStuquandle, Subset, _check_ints, _flatten,
-                      substuquandle_closure)
+from .algebra import (DEFINING, FiniteStuquandle, Subset, _check_ints, _check_range,
+                      _flatten, substuquandle_closure)
 from .errors import IndexOutOfRange
 from .polynomial import PolynomialMultiset, substuquandle_polynomial
 
@@ -28,18 +29,13 @@ STAR_INV = "~*"
 OPS = (STAR, STAR_INV, R1, R2, R3, R4)
 
 
-@dataclass(frozen=True)
-class Relation:
-    """out = op(lhs, rhs) over generator indices."""
+class Relation(NamedTuple):
+    """out = op(lhs, rhs) over generator indices; Presentation checks it."""
 
     out: int
     op: str
     lhs: int
     rhs: int
-
-    def __post_init__(self):
-        if self.op not in OPS:
-            raise ValueError(f"unknown operation {self.op!r}")
 
 
 @dataclass(frozen=True)
@@ -52,6 +48,10 @@ class Presentation:
     def __post_init__(self):
         object.__setattr__(self, "relations", tuple(self.relations))
         object.__setattr__(self, "generator_names", tuple(self.generator_names))
+        # ops first, in relation order; tuple membership, as a JSON op may be unhashable
+        for r in self.relations:
+            if r.op not in OPS:
+                raise ValueError(f"unknown operation {r.op!r}")
         indices = _flatten(map(attrgetter("out", "lhs", "rhs"), self.relations))
         _check_ints((self.generator_count, *indices), "presentation field")
         if not isinstance(self.name, str) or set(map(type, self.generator_names)) - {str}:
@@ -60,10 +60,7 @@ class Presentation:
             raise ValueError("a presentation needs at least one generator")
         if self.generator_names and len(self.generator_names) != self.generator_count:
             raise ValueError("generator_names length mismatch")
-        for idx in indices:
-            if not 0 <= idx < self.generator_count:
-                raise IndexOutOfRange(
-                    f"generator index {idx} outside 0..{self.generator_count - 1}")
+        _check_range(indices, self.generator_count, "generator index", IndexOutOfRange)
 
     def generator_label(self, i: int) -> str:
         if self.generator_names:
@@ -86,13 +83,13 @@ class Presentation:
         return "\n".join(lines)
 
 
-# In both crossing types the fields after sign are the slots in arcs() order,
-# and self-closure numbers arcs by first use in that order.  kind is the
-# crossing's tag in diagram files; it is a class attribute, not a field.
+# A crossing is its file row after the kind tag: sign, then the arc slots in
+# arcs() order, so type(c)(c.sign, *slots) rebuilds it, and self-closure
+# numbers arcs by first use in that order.  kind is the file tag, a class
+# attribute, not a field.  CrossingDiagram checks the values of both types.
 
 
-@dataclass(frozen=True)
-class Classical:
+class Classical(NamedTuple):
     """Classical crossing: the under strand runs under_in -> under_out."""
 
     kind = "classical"
@@ -102,11 +99,7 @@ class Classical:
     under_out: int
 
     def arcs(self):
-        return (self.over, self.under_in, self.under_out)
-
-    def renumbered(self, new) -> Classical:
-        """This crossing with every arc a replaced by new[a]."""
-        return Classical(self.sign, new[self.over], new[self.under_in], new[self.under_out])
+        return self[1:]
 
     def relations(self) -> tuple[Relation, ...]:
         """Positive: under_out = under_in * over.
@@ -115,8 +108,7 @@ class Classical:
         return (Relation(self.under_out, op, self.under_in, self.over),)
 
 
-@dataclass(frozen=True)
-class Stuck:
+class Stuck(NamedTuple):
     """Stuck crossing: strand one runs in1 -> out1, strand two in2 -> out2."""
 
     kind = "stuck"
@@ -127,11 +119,7 @@ class Stuck:
     out2: int
 
     def arcs(self):
-        return (self.in1, self.in2, self.out1, self.out2)
-
-    def renumbered(self, new) -> Stuck:
-        """This crossing with every arc a replaced by new[a]."""
-        return Stuck(self.sign, new[self.in1], new[self.in2], new[self.out1], new[self.out2])
+        return self[1:]
 
     def relations(self) -> tuple[Relation, ...]:
         """Positive: out1 = R1(in1, in2), out2 = R2(in1, in2).
@@ -153,18 +141,17 @@ class CrossingDiagram:
     def __post_init__(self):
         object.__setattr__(self, "crossings", tuple(self.crossings))
         object.__setattr__(self, "open_ends", tuple(self.open_ends))
-        signs = tuple(map(attrgetter("sign"), self.crossings))
-        arcs = (*_flatten(c.arcs() for c in self.crossings),
-                *(a for first, last in self.open_ends for a in (first, last)))
-        _check_ints((self.arc_count, *signs, *arcs), "crossing diagram field")
+        ends = tuple(a for first, last in self.open_ends for a in (first, last))
+        _check_ints((self.arc_count, *_flatten(self.crossings), *ends),
+                    "crossing diagram field")
         if self.arc_count < 1:
             raise ValueError("a diagram needs at least one arc")
+        signs = tuple(map(attrgetter("sign"), self.crossings))
         if set(signs) - {1, -1}:
             sign = next(s for s in signs if s not in (1, -1))
             raise ValueError(f"crossing sign must be +1 or -1, got {sign}")
-        for a in arcs:
-            if not 0 <= a < self.arc_count:
-                raise IndexOutOfRange(f"arc index {a} outside 0..{self.arc_count - 1}")
+        arcs = (*_flatten(c.arcs() for c in self.crossings), *ends)
+        _check_range(arcs, self.arc_count, "arc index", IndexOutOfRange)
 
 
 def compile_diagram(d: CrossingDiagram, name: str = "") -> Presentation:
@@ -316,8 +303,7 @@ def add_kink(d: CrossingDiagram, arc: int, sign: int) -> CrossingDiagram:
     The new boundary arc x' satisfies x' = x * x (positive) or x' = x ~* x
     (negative), so every coloring forces x' = x.
     """
-    if not 0 <= arc < d.arc_count:
-        raise IndexOutOfRange(f"arc index {arc} outside 0..{d.arc_count - 1}")
+    _check_range((arc,), d.arc_count, "arc index", IndexOutOfRange)
     new_arc = d.arc_count
     kink = Classical(sign, over=arc, under_in=arc, under_out=new_arc)
     return CrossingDiagram(d.arc_count + 1, d.crossings + (kink,), d.open_ends)

@@ -10,7 +10,7 @@ loose ends, yielding a closed diagram ready for coloring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
+from typing import NamedTuple
 
 from .algebra import FiniteStuquandle, _check_ints, _flatten
 from .errors import DanglingEnd, MalformedStripe
@@ -25,8 +25,7 @@ from .presentation import (
 )
 
 
-@dataclass(frozen=True)
-class Stripe:
+class Stripe(NamedTuple):
     """Gray stripe bonding (strand_a, position_a) to (strand_b, position_b)."""
 
     strand_a: int
@@ -36,8 +35,7 @@ class Stripe:
     sign: int
 
 
-@dataclass(frozen=True)
-class StrandCrossing:
+class StrandCrossing(NamedTuple):
     """A classical crossing drawn between strand points: one passage over,
     one under, located by (strand, position)."""
 
@@ -57,9 +55,7 @@ class ArcDiagram:
     def __post_init__(self):
         object.__setattr__(self, "stripes", tuple(self.stripes))
         object.__setattr__(self, "classicals", tuple(self.classicals))
-        _check_ints((self.strand_count,
-                     *_flatten(map(attrgetter(*Stripe.__match_args__), self.stripes)),
-                     *_flatten(map(attrgetter(*StrandCrossing.__match_args__), self.classicals))),
+        _check_ints((self.strand_count, *_flatten(self.stripes), *_flatten(self.classicals)),
                     "arc diagram field")
         if self.strand_count < 1:
             raise MalformedStripe("an arc diagram needs at least one strand")
@@ -164,7 +160,8 @@ def self_closure(d: CrossingDiagram) -> CrossingDiagram:
         for a in c.arcs():
             number.setdefault(resolved[a], len(number))
     new = [number.setdefault(r, len(number)) for r in resolved]
-    return CrossingDiagram(len(number), tuple(c.renumbered(new) for c in d.crossings), ())
+    crossings = tuple(type(c)(c.sign, *(new[a] for a in c.arcs())) for c in d.crossings)
+    return CrossingDiagram(len(number), crossings, ())
 
 
 def arc_presentation(a: ArcDiagram) -> Presentation:

@@ -1,11 +1,16 @@
+import functools
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from stuquandle import AxiomViolation, FormatError
+from stuquandle import AxiomViolation, FormatError, compile_diagram
 from stuquandle.catalog import fixture, list_fixtures
 from stuquandle import formats
 from stuquandle.rna import self_closure, to_crossing_diagram
+
+from test_rna import _arc_diagrams
 
 
 def test_stuquandle_round_trip(tmp_path):
@@ -15,35 +20,48 @@ def test_stuquandle_round_trip(tmp_path):
     assert formats.load_stuquandle(path) == X
 
 
-def test_presentation_round_trip(tmp_path):
-    pres = fixture("trefoil_2_1_k_minus").payload["presentation"]
-    path = tmp_path / "p.json"
+def _examples(*values):
+    """Hypothesis @example for each of values."""
+    return lambda test: functools.reduce(lambda t, v: example(v)(t), values, test)
+
+
+def _crossing_diagram(arc, closed):
+    d = to_crossing_diagram(arc)
+    return self_closure(d) if closed else d
+
+
+_OPEN_OR_CLOSED = st.builds(_crossing_diagram, _arc_diagrams(), st.booleans())
+
+
+@settings(max_examples=100, deadline=None)
+@given(_OPEN_OR_CLOSED.map(compile_diagram))
+@example(fixture("trefoil_2_1_k_minus").payload["presentation"])
+def test_presentation_round_trip(tmp_path_factory, pres):
+    path = tmp_path_factory.mktemp("p") / "p.json"
     formats.save_document(path, formats.presentation_to_dict(pres))
-    loaded = formats.load_presentation(path)
-    assert loaded.generator_count == pres.generator_count
-    assert loaded.relations == pres.relations
+    assert formats.load_presentation(path) == pres
 
 
-def test_arc_diagram_round_trip(tmp_path):
-    arc = fixture("rna_K2_ex74").payload
-    path = tmp_path / "a.json"
+@settings(max_examples=100, deadline=None)
+@given(_arc_diagrams())
+@example(fixture("rna_K2_ex74").payload)
+def test_arc_diagram_round_trip(tmp_path_factory, arc):
+    path = tmp_path_factory.mktemp("a") / "a.json"
     formats.save_document(path, formats.arc_diagram_to_dict(arc))
     assert formats.load_arc_diagram(path) == arc
 
 
-def test_crossing_diagram_round_trip():
-    # open and closed diagrams of both arc fixtures, then the catalog's
-    # crossing diagrams (the trefoil mixes classical and stuck crossings)
-    diagrams = []
-    for fid in ("rna_K1_ex74", "rna_K2_ex74"):
-        d = to_crossing_diagram(fixture(fid).payload)
-        diagrams += [d, self_closure(d)]
-    diagrams += [fixture(fid).payload["diagram"] for fid in list_fixtures()
-                 if fixture(fid).kind == "presentation"]
-    assert len(diagrams) == 9
-    for d in diagrams:
-        doc = formats.crossing_diagram_to_dict(d)
-        assert formats.crossing_diagram_from_dict(doc) == d
+# open and closed diagrams of both arc fixtures, then the catalog's crossing
+# diagrams (the trefoil mixes classical and stuck crossings)
+@settings(max_examples=100, deadline=None)
+@given(_OPEN_OR_CLOSED)
+@_examples(*(_crossing_diagram(fixture(fid).payload, closed)
+             for fid in ("rna_K1_ex74", "rna_K2_ex74") for closed in (False, True)),
+           *(fixture(fid).payload["diagram"] for fid in list_fixtures()
+             if fixture(fid).kind == "presentation"))
+def test_crossing_diagram_round_trip(d):
+    doc = json.loads(json.dumps(formats.crossing_diagram_to_dict(d)))
+    assert formats.crossing_diagram_from_dict(doc) == d
 
 
 @pytest.mark.parametrize("extra", [

@@ -287,8 +287,8 @@ def test_diagram_and_relation_index_checks():
         CrossingDiagram(2, (Classical(1, over=2, under_in=0, under_out=1),))
     with pytest.raises(IndexOutOfRange):
         Presentation(2, (Relation(0, "*", 1, 2),))
-    with pytest.raises(ValueError):
-        Relation(0, "bogus", 0, 0)
+    with pytest.raises(ValueError, match="unknown operation 'bogus'"):
+        Presentation(1, (Relation(0, "bogus", 0, 0),))
 
 
 def test_compare_distinguishes_reference_pair():
