@@ -45,9 +45,10 @@ is the map x -> x * z), and A∘B for the map j -> B[A[j]].
 
 eq2 has both sides followed by * y and eq8 by ~* x.  Those column maps are
 bijections, so they keep the set of failing (x, y, z) and with it the
-first one.  For n <= 256 rows are bytes and A∘B is A.translate(B), one C
-call per composition; above that it is a tuple gather.  The pair axioms
-eq4..eq7 and quandle-iii are compared over their last variable as written.
+first one.  A structure has at most MAX_ELEMENTS = 256 elements, so every
+row is bytes and A∘B is A.translate(B), one C call per composition.  The
+pair axioms eq4..eq7 and quandle-iii are compared over their last variable
+as written.
 """
 
 from __future__ import annotations
@@ -55,13 +56,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from math import gcd
-from operator import getitem, itemgetter
+from operator import getitem
 
 from .errors import AxiomViolation, NonBijectiveColumn, NonUnit
 
 DEFINING = ("*", "R1", "R2", "R3", "R4")
+# an element is a byte, so bytes.translate composes rows (module docstring)
+MAX_ELEMENTS = 256
 
 
 def _flatten(parts):
@@ -86,13 +88,20 @@ def _check_range(values, size: int, what: str, error=ValueError) -> None:
         raise error(f"{what} {bad} outside 0..{size - 1}")
 
 
+def _check_size(n: int) -> None:
+    if n > MAX_ELEMENTS:
+        raise ValueError(f"a structure has at most {MAX_ELEMENTS} elements, got {n}")
+
+
 def _square_rows(table, n=None):
     """table as a tuple of row tuples, checked to be a non-empty square
-    table of exact ints over {0..size-1} and, when n is given, to be n x n."""
+    table of exact ints over {0..size-1}, size <= MAX_ELEMENTS, and, when n
+    is given, to be n x n."""
     rows = tuple(table)
     size = len(rows)
     if size == 0:
         raise ValueError("operation table must be non-empty")
+    _check_size(size)
     if set(map(type, rows)) - {list, tuple}:
         raise ValueError("operation table rows must be lists or tuples")
     rows = tuple(map(tuple, rows))
@@ -143,27 +152,6 @@ def _bytes_rows(rows):
     return plain, tuple(row.ljust(256, b"\0") for row in plain)
 
 
-def _tuple_rows(rows):
-    return rows, rows
-
-
-def _gather(A, B):
-    # itemgetter of a single index returns the bare value, not a 1-tuple
-    return itemgetter(*A)(B) if len(A) > 1 else (B[A[0]],)
-
-
-# A codec is (compose, join, encode).  encode(rows) gives the rows in a left
-# and a right form; compose(A, B)[j] = B[A[j]] takes a left A and a right B
-# and returns a left form, and join concatenates left forms.  bytes.translate
-# composes in C but needs a 256-byte table, so it serves n <= 256 only.
-_BYTES = (bytes.translate, b"".join, _bytes_rows)
-_TUPLES = (_gather, _flatten, _tuple_rows)
-
-
-def _codec(n: int):
-    return _BYTES if n <= 256 else _TUPLES
-
-
 def _scan(n: int, axioms) -> None:
     """Raise AxiomViolation at the first failing (axiom, witness).
 
@@ -192,16 +180,15 @@ def _scan(n: int, axioms) -> None:
             raise AxiomViolation(axiom, min(found))
 
 
-def _quandle_axioms(S, codec):
+def _quandle_axioms(S):
     """quandle-i in its composed form and quandle-iii as written; Ta and Tb
-    are the left and right forms of a table T."""
-    compose, join, encode = codec
-    (Sa, Sb), (Sca, Scb) = encode(S), encode(tuple(zip(*S)))
+    are the plain and padded forms of a table T's rows (_bytes_rows)."""
+    (Sa, Sb), (Sca, Scb) = _bytes_rows(S), _bytes_rows(tuple(zip(*S)))
     elements = tuple(range(len(S)))
     return (
         ("quandle-i", 3, 1, lambda x: (
-            join(map(compose, repeat(Sa[x]), Scb)),
-            join(map(compose, Sca, map(Sb.__getitem__, S[x]))))),
+            b"".join(map(Sa[x].translate, Scb)),
+            b"".join(map(bytes.translate, Sca, map(Sb.__getitem__, S[x]))))),
         ("quandle-iii", 1, 0, lambda: (tuple(map(getitem, S, elements)), elements)),
     )
 
@@ -213,31 +200,30 @@ def verify_quandle(S):
     then right distributivity, then idempotency.
     """
     star_inv = column_inverse(S)
-    _scan(len(S), _quandle_axioms(S, _codec(len(S))))
+    _scan(len(S), _quandle_axioms(S))
     return star_inv
 
 
-def _stuquandle_axioms(S, SI, R1, R2, R3, R4, codec):
+def _stuquandle_axioms(S, SI, R1, R2, R3, R4):
     """eq1..eq10 in order: the composed forms of the module docstring, and
     the pair axioms from rows (T[a]) and columns (Tc[b]), T(a, b) = Tc[b][a].
-    Ta and Tb are left and right forms; a side with one right form per head
-    is joined first and composed once."""
-    compose, join, encode = codec
+    Ta and Tb are plain and padded forms; a side with one padded form per
+    head is joined first and composed once."""
     Sc, SIc, R3c, R4c = (tuple(zip(*t)) for t in (S, SI, R3, R4))
     (Sca, Scb), (SIca, SIcb), (R1a, R1b), (R2a, R2b), (R3a, R3b), (R4a, R4b) = map(
-        encode, (Sc, SIc, R1, R2, R3, R4))
-    Sc_all = join(Sca)
+        _bytes_rows, (Sc, SIc, R1, R2, R3, R4))
+    Sc_all = b"".join(Sca)
     elements = range(len(S))
     return (
         ("eq1", 3, 2, lambda x: (
-            join(map(compose, map(R1a.__getitem__, SI[x]), Scb)),
-            compose(Sc_all, R1b[x]))),
+            b"".join(map(bytes.translate, map(R1a.__getitem__, SI[x]), Scb)),
+            Sc_all.translate(R1b[x]))),
         ("eq2", 3, 2, lambda x: (
-            join(map(compose, map(R2a.__getitem__, SI[x]), Scb)),
-            compose(Sc_all, R2b[x]))),
+            b"".join(map(bytes.translate, map(R2a.__getitem__, SI[x]), Scb)),
+            Sc_all.translate(R2b[x]))),
         ("eq3", 3, 1, lambda x: (
-            compose(join(map(SIca.__getitem__, R1[x])), Scb[x]),
-            join(map(compose, map(Sca.__getitem__, R2[x]), SIcb)))),
+            b"".join(map(SIca.__getitem__, R1[x])).translate(Scb[x]),
+            b"".join(map(bytes.translate, map(Sca.__getitem__, R2[x]), SIcb)))),
         ("eq4", 2, 1, lambda: (
             _flatten(R2), _flatten(map(getitem, R1, row) for row in S))),
         ("eq5", 2, 1, lambda: (
@@ -249,20 +235,20 @@ def _stuquandle_axioms(S, SI, R1, R2, R3, R4, codec):
         ("eq7", 2, 1, lambda: (
             _flatten(R4c), _flatten(map(getitem, map(R3.__getitem__, row), elements) for row in S))),
         ("eq8", 3, 2, lambda x: (
-            compose(join(map(R3a.__getitem__, Sc[x])), SIcb[x]),
-            join(map(compose, repeat(SIca[x]), R3b)))),
+            b"".join(map(R3a.__getitem__, Sc[x])).translate(SIcb[x]),
+            b"".join(map(SIca[x].translate, R3b)))),
         ("eq9", 3, 2, lambda x: (
-            join(map(compose, repeat(SIca[x]), R4b)),
-            compose(join(map(R4a.__getitem__, Sc[x])), SIcb[x]))),
+            b"".join(map(SIca[x].translate, R4b)),
+            b"".join(map(R4a.__getitem__, Sc[x])).translate(SIcb[x]))),
         ("eq10", 3, 0, lambda y: (
-            compose(join(map(Sca.__getitem__, R4[y])), SIcb[y]),
-            join(map(compose, map(SIca.__getitem__, R3[y]), Scb)))),
+            b"".join(map(Sca.__getitem__, R4[y])).translate(SIcb[y]),
+            b"".join(map(bytes.translate, map(SIca.__getitem__, R3[y]), Scb)))),
     )
 
 
 def _verify_stuquandle(S, SI, R1, R2, R3, R4):
     """Check eq1..eq10 in order."""
-    _scan(len(S), _stuquandle_axioms(S, SI, R1, R2, R3, R4, _codec(len(S))))
+    _scan(len(S), _stuquandle_axioms(S, SI, R1, R2, R3, R4))
 
 
 @dataclass(frozen=True)
@@ -348,6 +334,7 @@ def affine_stuquandle(n: int, a: int, b: int, e: int) -> FiniteStuquandle:
     """
     if n < 1:
         raise ValueError("modulus must be positive")
+    _check_size(n)
     if gcd(a % n, n) != 1:
         raise NonUnit(a, n)
     return build_stuquandle(
@@ -382,9 +369,7 @@ class Subset:
         members = tuple(self.members)
         _check_ints(members, "element")
         members = tuple(sorted(set(members)))
-        for m in members:
-            if not 0 <= m < self.parent.n:
-                raise ValueError(f"element {m} outside the carrier")
+        _check_range(members, self.parent.n, "element")
         object.__setattr__(self, "members", members)
 
 

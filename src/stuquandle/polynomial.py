@@ -15,6 +15,7 @@ from .algebra import (
     FiniteStuquandle,
     Subset,
     _check_ints,
+    _check_range,
     _closure_violation,
     _flatten,
     _square_rows,
@@ -130,8 +131,7 @@ def element_profile(X: FiniteStuquandle, x: int) -> tuple[int, ...]:
     """The exponent tuple of x's monomial, X.profiles[x]; x must be an exact
     int in the carrier."""
     _check_ints((x,), "element")
-    if not 0 <= x < X.n:
-        raise ValueError(f"element {x} outside the carrier")
+    _check_range((x,), X.n, "element")
     return X.profiles[x]
 
 

@@ -172,6 +172,8 @@ def test_closure_grows_to_fixpoint():
 
 def test_closure_of_fixed_point():
     assert substuquandle_closure(Subset(X74, (0,))).members == (0,)
+    with pytest.raises(ValueError, match="closure of an empty subset is undefined"):
+        substuquandle_closure(Subset(X74, ()))
 
 
 def test_closure_always_closed():
@@ -202,6 +204,8 @@ def test_maps_must_hold_exact_ints():
     # 3.0 == 3 passes a bijection test, yet cannot index a table
     with pytest.raises(ValueError, match="relabeling value 3.0 is not an integer"):
         X1.relabel((0, 1, 2, 3.0))
+    with pytest.raises(ValueError, match="relabeling must be a bijection"):
+        X1.relabel((0, 1, 2, 2))
     assert not is_homomorphism((0.0, 1, 2, 3), X1, X1)
     assert not is_homomorphism((0, True, 2, 3), X1, X1)
 
@@ -361,18 +365,15 @@ def _random_tables(draw):
     return n, [star] + [draw(table) for _ in range(4)]
 
 
-@pytest.mark.parametrize("codec", [algebra._BYTES, algebra._TUPLES], ids=["translate", "tuple"])
 @settings(max_examples=300, deadline=None)
 @given(_random_tables())
-def test_each_axiom_witness_matches_oracle(codec, case):
+def test_each_axiom_witness_matches_oracle(case):
     # each equation is scanned alone, so the later axioms and their free-x
-    # and free-y witness rules are reached as often as the first ones; the
-    # tuple codec, used for n > 256, is run here at small n
+    # and free-y witness rules are reached as often as the first ones
     n, tables = case
     S, R1, R2, R3, R4 = (tuple(map(tuple, t)) for t in tables)
     SI = algebra.column_inverse(S)
-    declared = (algebra._quandle_axioms(S, codec)
-                + algebra._stuquandle_axioms(S, SI, R1, R2, R3, R4, codec))
+    declared = algebra._quandle_axioms(S) + algebra._stuquandle_axioms(S, SI, R1, R2, R3, R4)
     for (axiom, arity, holds), declaration in zip(oracles.equations(n, *tables), declared):
         assert declaration[0] == axiom
         try:
@@ -383,7 +384,18 @@ def test_each_axiom_witness_matches_oracle(codec, case):
         assert got == oracles.first_failure(n, arity, holds), axiom
 
 
-def test_translate_serves_carriers_up_to_256():
-    # bytes.translate takes a 256-byte table, so larger carriers use tuples
-    assert algebra._codec(256) is algebra._BYTES
-    assert algebra._codec(257) is algebra._TUPLES
+def test_structures_hold_at_most_256_elements():
+    # an element is a byte: bytes.translate composes rows of at most 256
+    assert algebra.MAX_ELEMENTS == 256
+    assert affine_stuquandle(256, 3, 5, 7).n == 256
+    too_big = "a structure has at most 256 elements, got 257"
+    big = [[0] * 257] * 257
+    with pytest.raises(ValueError, match=too_big):
+        build_stuquandle(257, big, big, big, big, big)
+    with pytest.raises(ValueError, match=too_big):
+        quandle_polynomial(big)
+    with pytest.raises(ValueError, match=too_big):
+        affine_stuquandle(257, 3, 5, 7)
+    # rejected before the 5 * n**2 entries are tabulated
+    with pytest.raises(ValueError, match="at most 256 elements, got 1000000000"):
+        alexander_stuquandle(10**9, 1, 1, 0, 0, 0, 0, 0, 0)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -322,6 +323,39 @@ _IDENTITY2 = [[0, 0], [1, 1]]
      lambda tmp: ["make", "affine", "--n", "4", "--a", "2", "--b", "0", "--e", "0"]),
     ("NotClosed", 2, "not closed",
      lambda tmp: ["subpoly", write_stuquandle(tmp, "X_ex71"), "--subset", "1"]),
+    ("subset-outside-carrier", 1, "error: element 9 outside 0..3",
+     lambda tmp: ["subpoly", write_stuquandle(tmp, "X_ex71"), "--subset", "9"]),
+    ("subset-not-integers", 1, "error: bad element list 'a,b'",
+     lambda tmp: ["subpoly", write_stuquandle(tmp, "X_ex71"), "--subset", "a,b"]),
+    ("table-not-list", 1, "error: stuquandle document field 'star' has the wrong type",
+     lambda tmp: ["verify", _doc_file(tmp, "X.json", {
+         "n": 2, "star": 5, "r1": _IDENTITY2, "r2": _IDENTITY2,
+         "r3": _IDENTITY2, "r4": _IDENTITY2})]),
+    ("table-size-mismatch", 1, "error: expected a 3x3 table, got 2x2",
+     lambda tmp: ["verify", _doc_file(tmp, "X.json", {
+         "n": 3, "star": _IDENTITY2, "r1": _IDENTITY2, "r2": _IDENTITY2,
+         "r3": _IDENTITY2, "r4": _IDENTITY2})]),
+    ("relation-not-object", 1, "error: relation must be a JSON object",
+     lambda tmp: ["color", _doc_file(tmp, "P.json", {"generators": 2, "relations": [5]}),
+                  write_stuquandle(tmp, "X_ex71")]),
+    ("relations-not-list", 1,
+     "error: presentation document field 'relations' has the wrong type",
+     lambda tmp: ["color", _doc_file(tmp, "P.json", {"generators": 2, "relations": {}}),
+                  write_stuquandle(tmp, "X_ex71")]),
+    ("no-generators", 1, "error: a presentation needs at least one generator",
+     lambda tmp: ["color", _doc_file(tmp, "P.json", {"generators": 0, "relations": []}),
+                  write_stuquandle(tmp, "X_ex71")]),
+    ("generator-names-mismatch", 1, "error: generator_names length mismatch",
+     lambda tmp: ["color", _doc_file(tmp, "P.json", {
+         "generators": 2, "generator_names": ["a"], "relations": []}),
+         write_stuquandle(tmp, "X_ex71")]),
+    ("no-strands", 1, "error: an arc diagram needs at least one strand",
+     lambda tmp: ["rna", "convert", _doc_file(tmp, "arc.json", {"strands": 0, "stripes": []})]),
+    ("classical-sign", 1, "error: crossing sign must be +1 or -1, got 2",
+     lambda tmp: ["rna", "convert", _doc_file(tmp, "arc.json", {
+         "strands": 2, "stripes": [], "classicals": [[0, 1, 1, 1, 2]]})]),
+    ("coeffs-count", 1, "error: --coeffs needs exactly six integers a,b,c,d,e,f",
+     lambda tmp: ["make", "alexander", "--n", "5", "--t", "2", "--v", "1", "--coeffs", "1,2"]),
     ("UnknownFixture", 3, "unknown fixture",
      lambda tmp: ["catalog", "show", "missing"]),
     ("usage", 1, "invalid choice", lambda tmp: ["frobnicate"]),
@@ -334,6 +368,28 @@ def test_error_class_exit_codes(tmp_path, capsys, case):
     assert err.startswith("error: ") and message in err
     assert len(err.splitlines()) == 1
     assert "set_int_max_str_digits" not in err  # advice no CLI user can follow
+
+
+_BIG = [[0] * 257] * 257
+
+
+@pytest.mark.parametrize("argv, n", [
+    (lambda tmp: ["verify", _doc_file(tmp, "X.json", {
+        "n": 257, "star": _BIG, "r1": _BIG, "r2": _BIG, "r3": _BIG, "r4": _BIG})], 257),
+    (lambda tmp: ["make", "affine", "--n", "257", "--a", "3", "--b", "5", "--e", "7"], 257),
+    (lambda tmp: ["make", "affine", "--n", "1000000000", "--a", "3", "--b", "5", "--e", "7"],
+     1000000000),
+    (lambda tmp: ["make", "alexander", "--n", "257", "--t", "3", "--v", "1",
+                  "--coeffs", "1,0,0,0,0,0"], 257),
+    (lambda tmp: ["make", "alexander", "--n", "1000000000", "--t", "3", "--v", "1",
+                  "--coeffs", "1,0,0,0,0,0"], 1000000000),
+], ids=["verify_257", "affine_257", "affine_1e9", "alexander_257", "alexander_1e9"])
+def test_size_cap_is_checked_before_any_work(tmp_path, capsys, argv, n):
+    argv = argv(tmp_path)
+    start = time.perf_counter()
+    got = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert got == (1, "", f"error: a structure has at most 256 elements, got {n}\n")
 
 
 def _relation(op, out=0):

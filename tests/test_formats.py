@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stuquandle import AxiomViolation, FormatError, compile_diagram
+from stuquandle import AxiomViolation, FormatError, Presentation, Relation, compile_diagram
 from stuquandle.catalog import fixture, list_fixtures
 from stuquandle import formats
 from stuquandle.rna import self_closure, to_crossing_diagram
@@ -36,6 +36,7 @@ _OPEN_OR_CLOSED = st.builds(_crossing_diagram, _arc_diagrams(), st.booleans())
 @settings(max_examples=100, deadline=None)
 @given(_OPEN_OR_CLOSED.map(compile_diagram))
 @example(fixture("trefoil_2_1_k_minus").payload["presentation"])
+@example(Presentation(2, (Relation(0, "*", 0, 1),), name="named", generator_names=("a", "b")))
 def test_presentation_round_trip(tmp_path_factory, pres):
     path = tmp_path_factory.mktemp("p") / "p.json"
     formats.save_document(path, formats.presentation_to_dict(pres))
@@ -70,7 +71,10 @@ def test_crossing_diagram_round_trip(d):
     {"crossings": [["stuck", 1, 0, 1, 0, 1.0]]},
     {"open_ends": 5},
     {"open_ends": [[0]]},
-], ids=["str_arc", "bool_sign", "float_arc", "open_ends_not_list", "short_open_end"])
+    {"crossings": [5]},
+    {"crossings": [["bogus"]]},
+], ids=["str_arc", "bool_sign", "float_arc", "open_ends_not_list", "short_open_end",
+        "crossing_not_list", "unknown_kind"])
 def test_bad_crossing_diagram_is_format_error(extra):
     with pytest.raises(FormatError):
         formats.crossing_diagram_from_dict({"arcs": 2, "crossings": [], **extra})

@@ -204,6 +204,8 @@ def test_monomial_exponent_bounds():
         for exps in stuquandle_polynomial(X).terms:
             assert exps[0] >= 1 and exps[1] >= 1  # idempotency floor
             assert all(e <= X.n for e in exps)
+    with pytest.raises(ValueError, match="exponents must be non-negative"):
+        Polynomial(QP_VARS, [((1, -1), 1)])
 
 
 def test_relabel_invariance_of_stqp():
@@ -225,6 +227,8 @@ def test_multiset_rendering():
     double = PolynomialMultiset([(p, 1), (p, 1)])
     assert double == PolynomialMultiset([(p, 2)])
     assert double.total() == 2
+    with pytest.raises(ValueError, match="multiplicities must be positive"):
+        PolynomialMultiset([(p, 0)])
 
 
 def test_multiset_order_is_by_exponent_string():
