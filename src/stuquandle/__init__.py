@@ -15,10 +15,6 @@ from .algebra import (
 )
 from .errors import (
     AxiomViolation,
-    DanglingEnd,
-    FormatError,
-    IndexOutOfRange,
-    MalformedStripe,
     NonBijectiveColumn,
     NonUnit,
     NotClosed,

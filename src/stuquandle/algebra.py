@@ -80,12 +80,12 @@ def _check_ints(values, what: str) -> None:
         raise ValueError(f"{what} {bad!r} is not an integer")
 
 
-def _check_range(values, size: int, what: str, error=ValueError) -> None:
-    """Raise error naming the first of values, a sequence of exact ints,
-    outside 0..size-1.  min and max run in C; only a failure scans again."""
+def _check_range(values, size: int, what: str) -> None:
+    """Raise ValueError naming the first of values, exact ints, outside
+    0..size-1.  min and max run in C; only a failure scans again."""
     if values and (min(values) < 0 or max(values) >= size):
         bad = next(v for v in values if not 0 <= v < size)
-        raise error(f"{what} {bad} outside 0..{size - 1}")
+        raise ValueError(f"{what} {bad} outside 0..{size - 1}")
 
 
 def _check_size(n: int) -> None:
@@ -332,6 +332,7 @@ def affine_stuquandle(n: int, a: int, b: int, e: int) -> FiniteStuquandle:
         R3(x,y) = (1-e)*x + e*y
         R4(x,y) = (1 - a*(1-e))*x + a*(1-e)*y
     """
+    _check_ints((n, a, b, e), "parameter")
     if n < 1:
         raise ValueError("modulus must be positive")
     _check_size(n)
@@ -355,6 +356,7 @@ def alexander_stuquandle(n: int, t: int, v: int, a: int, b: int, c: int,
     (for R1/R2) and d*t + f*v + e*t*v (for R3/R4) in the roles of b and e;
     the weights are left unreduced, as table_from reduces every entry mod n.
     """
+    _check_ints((n, t, v, a, b, c, d, e, f), "parameter")
     return affine_stuquandle(n, t, a * t + b * v + c * t * v, d * t + f * v + e * t * v)
 
 

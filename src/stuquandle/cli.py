@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 malformed input or usage error (or stdout closed
-before all output was written, as by `| head`; no error line then), 2 axiom
-or closure violation (with a witness on stderr), 3 unknown fixture; each
-error class in `errors` declares its own code.
+Exit codes: 0 success, 1 malformed input or usage error, both raised as
+ValueError (or stdout closed before all output was written, as by `| head`;
+no error line then), 2 axiom or closure violation (with a witness on
+stderr), 3 unknown fixture; each error class in `errors` declares its code.
 Identical invocations produce byte-identical stdout; the optional
 --report file additionally records inputs digest and timing.
 
@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import catalog, formats
 from .algebra import Subset, affine_stuquandle, alexander_stuquandle
-from .errors import FormatError, StuquandleError
+from .errors import StuquandleError
 from .polynomial import stuquandle_polynomial, substuquandle_polynomial
 from .presentation import compare_invariants, enumerate_colorings, phi_invariant
 from .rna import arc_presentation, folding_invariant
@@ -37,17 +37,17 @@ _VIOLATION_EXIT = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors; the contract reserves 2 for
-    # axiom violations, so remap usage problems to exit 1
+    # argparse exits 2 on usage errors; the contract reserves 2 for axiom
+    # violations, so a usage problem is a ValueError, exit 1
     def error(self, message):
-        raise FormatError(message)
+        raise ValueError(message)
 
 
 def _parse_elements(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(v) for v in text.split(","))
     except ValueError as exc:
-        raise FormatError(f"bad element list {text!r}") from exc
+        raise ValueError(f"bad element list {text!r}") from exc
 
 
 # A runner gets the parsed arguments, the output lines to extend and `load`,
@@ -66,7 +66,7 @@ def _make_affine(args, out, load):
 def _make_alexander(args, out, load):
     coeffs = _parse_elements(args.coeffs)
     if len(coeffs) != 6:
-        raise FormatError("--coeffs needs exactly six integers a,b,c,d,e,f")
+        raise ValueError("--coeffs needs exactly six integers a,b,c,d,e,f")
     X = alexander_stuquandle(args.n, args.t, args.v, *coeffs)
     out.append(json.dumps(formats.stuquandle_to_dict(X), indent=2))
 
@@ -201,7 +201,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     if name and not any(a.startswith(("-h", "--h")) for a in argv):
         try:
             return _build_parser(name).parse_args(argv)
-        except FormatError:
+        except ValueError:
             pass
     return _build_parser().parse_args(argv)
 

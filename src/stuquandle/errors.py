@@ -1,11 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Malformed input of any kind (a bad document, value, index or command line)
+raises a plain ValueError, which the CLI ends with exit 1.  The classes
+here are the errors that carry a witness or another exit code.
+"""
 
 
 class StuquandleError(Exception):
-    """Base class for every error raised by this package.
+    """Base class of the package's own errors.
 
-    exit_code is the CLI's exit status for the error: 1 for malformed
-    input, 2 for an axiom or closure violation, 3 for an unknown fixture.
+    exit_code is the CLI's exit status for the error: 2 for an axiom or
+    closure violation, 3 for an unknown fixture, and for this base 1, the
+    status of malformed input.
     """
 
     exit_code = 1
@@ -62,18 +68,6 @@ class NotClosed(StuquandleError):
         )
 
 
-class IndexOutOfRange(StuquandleError):
-    """A generator or arc index points outside its carrier."""
-
-
-class MalformedStripe(StuquandleError):
-    """An arc diagram references bad strands or overlapping bond sites."""
-
-
-class DanglingEnd(StuquandleError):
-    """Self-closure was requested but there is no open strand end to close."""
-
-
 class UnknownFixture(StuquandleError):
     """No catalog entry with the requested id."""
 
@@ -83,6 +77,3 @@ class UnknownFixture(StuquandleError):
         self.fixture_id = fixture_id
         super().__init__(f"unknown fixture: {fixture_id!r}")
 
-
-class FormatError(StuquandleError):
-    """An input document does not match the expected JSON schema."""

@@ -11,21 +11,19 @@ All three schemas are flat, human-diffable JSON:
 
 A record is its file row, fields in order: a stripe or classical is its
 list, a crossing [kind, *fields] and a relation {"out", "op", "lhs", "rhs"}.
-This module checks document shape only: objects, keys, lists and arities,
-raising FormatError.  The containers check their records' values (exact
-integers, known operations, ranges), and their ValueError is re-raised as
-FormatError; axiom failures and bad indices propagate as their own types.
+This module checks document shape only: objects, keys, lists and arities.
+The containers check their records' values (exact integers, known
+operations, ranges).  Either raises ValueError on malformed input; an axiom
+failure propagates as its own type.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 from pathlib import Path
 
 from .algebra import FiniteStuquandle, build_stuquandle
-from .errors import FormatError
 from .presentation import (
     Classical,
     CrossingDiagram,
@@ -41,31 +39,20 @@ _CROSSING_TYPES = {cls.kind: cls for cls in (Classical, Stuck)}
 
 def _require(obj: dict, key: str, what: str, kind=None):
     if not isinstance(obj, dict):
-        raise FormatError(f"{what} must be a JSON object")
+        raise ValueError(f"{what} must be a JSON object")
     if key not in obj:
-        raise FormatError(f"{what} is missing {key!r}")
+        raise ValueError(f"{what} is missing {key!r}")
     value = obj[key]
     if kind is not None and not isinstance(value, kind):
-        raise FormatError(f"{what} field {key!r} has the wrong type")
+        raise ValueError(f"{what} field {key!r} has the wrong type")
     return value
 
 
 def _records(raw, size: int, what: str) -> list[list]:
     """raw, once checked to be a list of size-element lists (record fields)."""
     if not isinstance(raw, list) or set(map(type, raw)) - {list} or set(map(len, raw)) - {size}:
-        raise FormatError(f"each {what} must be a list of {size} integers")
+        raise ValueError(f"each {what} must be a list of {size} integers")
     return raw
-
-
-def _values_checked_by_constructors(from_dict):
-    """from_dict with a constructor's ValueError re-raised as FormatError."""
-    @functools.wraps(from_dict)
-    def checked(doc: dict):
-        try:
-            return from_dict(doc)
-        except ValueError as exc:
-            raise FormatError(str(exc)) from exc
-    return checked
 
 
 # the file key of each operation in algebra.DEFINING, in that order
@@ -81,7 +68,6 @@ def stuquandle_to_dict(X: FiniteStuquandle, name: str = "") -> dict:
     return doc
 
 
-@_values_checked_by_constructors
 def stuquandle_from_dict(doc: dict) -> FiniteStuquandle:
     n = _require(doc, "n", "stuquandle document")
     return build_stuquandle(n, *(_require(doc, key, "stuquandle document", list)
@@ -99,14 +85,13 @@ def presentation_to_dict(P: Presentation) -> dict:
     return doc
 
 
-@_values_checked_by_constructors
 def presentation_from_dict(doc: dict) -> Presentation:
     count = _require(doc, "generators", "presentation document")
     raw = _require(doc, "relations", "presentation document", list)
     fields = [[_require(item, key, "relation") for key in Relation._fields] for item in raw]
     names = doc.get("generator_names", [])
     if not isinstance(names, list):
-        raise FormatError("presentation generator_names must be a list")
+        raise ValueError("presentation generator_names must be a list")
     return Presentation(count, tuple(Relation(*f) for f in fields),
                         name=doc.get("name", ""), generator_names=tuple(names))
 
@@ -118,7 +103,6 @@ def arc_diagram_to_dict(a: ArcDiagram) -> dict:
     return doc
 
 
-@_values_checked_by_constructors
 def arc_diagram_from_dict(doc: dict) -> ArcDiagram:
     strands = _require(doc, "strands", "arc diagram document")
     stripes = _records(_require(doc, "stripes", "arc diagram document", list), 5, "stripe")
@@ -135,16 +119,15 @@ def crossing_diagram_to_dict(d: CrossingDiagram) -> dict:
     return doc
 
 
-@_values_checked_by_constructors
 def crossing_diagram_from_dict(doc: dict) -> CrossingDiagram:
     arcs = _require(doc, "arcs", "crossing diagram document")
     crossings = []
     for item in _require(doc, "crossings", "crossing diagram document", list):
         if not isinstance(item, list) or not item or not isinstance(item[0], str):
-            raise FormatError("each crossing must be a list that starts with its kind")
+            raise ValueError("each crossing must be a list that starts with its kind")
         cls, rest = _CROSSING_TYPES.get(item[0]), item[1:]
         if cls is None or len(rest) != len(cls._fields):
-            raise FormatError(f"bad crossing entry {item!r}")
+            raise ValueError(f"bad crossing entry {item!r}")
         crossings.append(cls(*rest))
     open_ends = _records(doc.get("open_ends", []), 2, "open end pair")
     return CrossingDiagram(arcs, tuple(crossings), tuple(map(tuple, open_ends)))
@@ -154,20 +137,20 @@ def load_document(path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
+        raise ValueError(f"{path} is not UTF-8 text: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise FormatError(f"{path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
     except ValueError as exc:  # an integer past the interpreter's digit limit
-        raise FormatError(f"{path} is not valid JSON: an integer has more than "
-                          f"{sys.get_int_max_str_digits()} digits") from exc
+        raise ValueError(f"{path} is not valid JSON: an integer has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from exc
     except RecursionError as exc:
-        raise FormatError(f"{path} is nested too deeply") from exc
+        raise ValueError(f"{path} is nested too deeply") from exc
     if not isinstance(doc, dict):
-        raise FormatError(f"{path} must contain a JSON object")
+        raise ValueError(f"{path} must contain a JSON object")
     return doc
 
 

@@ -21,12 +21,15 @@ from typing import NamedTuple
 
 from .algebra import (DEFINING, FiniteStuquandle, Subset, _check_ints, _check_range,
                       _flatten, substuquandle_closure)
-from .errors import IndexOutOfRange
 from .polynomial import PolynomialMultiset, substuquandle_polynomial
 
 STAR, R1, R2, R3, R4 = DEFINING
 STAR_INV = "~*"
 OPS = (STAR, STAR_INV, R1, R2, R3, R4)
+# The most generators a presentation has, and so the most strands an arc
+# diagram has: each strand closes to at least one arc, a generator.  Both
+# constructors check it before anything is sized by the count.
+MAX_GENERATORS = 2**20
 
 
 class Relation(NamedTuple):
@@ -58,9 +61,12 @@ class Presentation:
             raise ValueError("presentation name and generator_names must be strings")
         if self.generator_count < 1:
             raise ValueError("a presentation needs at least one generator")
+        if self.generator_count > MAX_GENERATORS:
+            raise ValueError(f"a presentation has at most {MAX_GENERATORS} generators, "
+                             f"got {self.generator_count}")
         if self.generator_names and len(self.generator_names) != self.generator_count:
             raise ValueError("generator_names length mismatch")
-        _check_range(indices, self.generator_count, "generator index", IndexOutOfRange)
+        _check_range(indices, self.generator_count, "generator index")
 
     def generator_label(self, i: int) -> str:
         if self.generator_names:
@@ -151,7 +157,7 @@ class CrossingDiagram:
             sign = next(s for s in signs if s not in (1, -1))
             raise ValueError(f"crossing sign must be +1 or -1, got {sign}")
         arcs = (*_flatten(c.arcs() for c in self.crossings), *ends)
-        _check_range(arcs, self.arc_count, "arc index", IndexOutOfRange)
+        _check_range(arcs, self.arc_count, "arc index")
 
 
 def compile_diagram(d: CrossingDiagram, name: str = "") -> Presentation:
@@ -303,7 +309,7 @@ def add_kink(d: CrossingDiagram, arc: int, sign: int) -> CrossingDiagram:
     The new boundary arc x' satisfies x' = x * x (positive) or x' = x ~* x
     (negative), so every coloring forces x' = x.
     """
-    _check_range((arc,), d.arc_count, "arc index", IndexOutOfRange)
+    _check_range((arc,), d.arc_count, "arc index")
     new_arc = d.arc_count
     kink = Classical(sign, over=arc, under_in=arc, under_out=new_arc)
     return CrossingDiagram(d.arc_count + 1, d.crossings + (kink,), d.open_ends)

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .algebra import FiniteStuquandle, _check_ints, _flatten
-from .errors import DanglingEnd, MalformedStripe
 from .polynomial import PolynomialMultiset
 from .presentation import (
+    MAX_GENERATORS,
     Classical,
     CrossingDiagram,
     Presentation,
@@ -58,37 +58,29 @@ class ArcDiagram:
         _check_ints((self.strand_count, *_flatten(self.stripes), *_flatten(self.classicals)),
                     "arc diagram field")
         if self.strand_count < 1:
-            raise MalformedStripe("an arc diagram needs at least one strand")
+            raise ValueError("an arc diagram needs at least one strand")
+        if self.strand_count > MAX_GENERATORS:
+            raise ValueError(f"an arc diagram has at most {MAX_GENERATORS} strands, "
+                             f"got {self.strand_count}")
         occupied = set()
 
         def claim(strand: int, position: int, what: str):
             if not 0 <= strand < self.strand_count:
-                raise MalformedStripe(f"{what} references missing strand {strand}")
+                raise ValueError(f"{what} references missing strand {strand}")
             if (strand, position) in occupied:
-                raise MalformedStripe(
-                    f"duplicate site at strand {strand}, position {position}"
-                )
+                raise ValueError(f"duplicate site at strand {strand}, position {position}")
             occupied.add((strand, position))
 
         for st in self.stripes:
             if st.sign not in (1, -1):
-                raise MalformedStripe(f"stripe sign must be +1 or -1, got {st.sign}")
+                raise ValueError(f"stripe sign must be +1 or -1, got {st.sign}")
             claim(st.strand_a, st.position_a, "stripe")
             claim(st.strand_b, st.position_b, "stripe")
         for c in self.classicals:
             if c.sign not in (1, -1):
-                raise MalformedStripe(f"crossing sign must be +1 or -1, got {c.sign}")
+                raise ValueError(f"crossing sign must be +1 or -1, got {c.sign}")
             claim(c.over_strand, c.over_position, "crossing")
             claim(c.under_strand, c.under_position, "crossing")
-
-    @property
-    def positions(self) -> tuple[tuple[int, ...], ...]:
-        """Per strand, the ordered bond sites (stripe endpoints)."""
-        sites: list[list[int]] = [[] for _ in range(self.strand_count)]
-        for st in self.stripes:
-            sites[st.strand_a].append(st.position_a)
-            sites[st.strand_b].append(st.position_b)
-        return tuple(tuple(sorted(s)) for s in sites)
 
 
 def to_crossing_diagram(a: ArcDiagram) -> CrossingDiagram:
@@ -141,7 +133,7 @@ def self_closure(d: CrossingDiagram) -> CrossingDiagram:
     crossing slots (stuck: in1, in2, out1, out2; classical: over, under_in,
     under_out), then untouched arcs in their old order."""
     if not d.open_ends:
-        raise DanglingEnd("no open strand ends to close")
+        raise ValueError("no open strand ends to close")
 
     remap = list(range(d.arc_count))
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stuquandle
-from stuquandle import FormatError, catalog, cli, formats
+from stuquandle import catalog, cli, formats
 from stuquandle.catalog import fixture, list_fixtures
 from stuquandle.cli import entry_point, main
 
@@ -285,7 +285,7 @@ _IDENTITY2 = [[0, 0], [1, 1]]
 
 
 @pytest.mark.parametrize("case", [
-    ("FormatError", 1, "not valid JSON",
+    ("bad-json", 1, "not valid JSON",
      lambda tmp: ["verify", _doc_file(tmp, "X.json", "{not json")]),
     ("deep-nesting", 1, "nested too deeply",
      lambda tmp: ["verify", _doc_file(tmp, "X.json", "[" * 100000 + "]" * 100000)]),
@@ -295,7 +295,7 @@ _IDENTITY2 = [[0, 0], [1, 1]]
         id="huge-integer",
         marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                                  reason="no integer string conversion limit")),
-    ("IndexOutOfRange", 1, "generator index 5",
+    ("generator-index", 1, "generator index 5 outside 0..1",
      lambda tmp: ["color", _doc_file(tmp, "P.json", {
          "generators": 2, "relations": [{"out": 5, "op": "*", "lhs": 0, "rhs": 1}]}),
          write_stuquandle(tmp, "X_ex71")]),
@@ -306,7 +306,7 @@ _IDENTITY2 = [[0, 0], [1, 1]]
     ("bool-stripe-sign", 1, "True is not an integer",
      lambda tmp: ["rna", "convert", _doc_file(tmp, "arc.json", '{"strands": 1, '
                                               '"stripes": [[0, 0, 10, 30, true]]}')]),
-    ("MalformedStripe", 1, "missing strand",
+    ("missing-strand", 1, "stripe references missing strand 3",
      lambda tmp: ["rna", "convert", _doc_file(tmp, "arc.json", {
          "strands": 1, "stripes": [[0, 3, 10, 30, -1]]})]),
     ("ValueError", 1, "modulus must be positive",
@@ -371,25 +371,45 @@ def test_error_class_exit_codes(tmp_path, capsys, case):
 
 
 _BIG = [[0] * 257] * 257
+_HUGE_PRESENTATION = {"generators": 10**9, "relations": []}
+_HUGE_ARC = {"strands": 10**9, "stripes": []}
 
 
-@pytest.mark.parametrize("argv, n", [
+def _cap(n, what="a structure has at most 256 elements"):
+    return f"error: {what}, got {n}\n"
+
+
+@pytest.mark.parametrize("argv, line", [
     (lambda tmp: ["verify", _doc_file(tmp, "X.json", {
-        "n": 257, "star": _BIG, "r1": _BIG, "r2": _BIG, "r3": _BIG, "r4": _BIG})], 257),
-    (lambda tmp: ["make", "affine", "--n", "257", "--a", "3", "--b", "5", "--e", "7"], 257),
+        "n": 257, "star": _BIG, "r1": _BIG, "r2": _BIG, "r3": _BIG, "r4": _BIG})], _cap(257)),
+    (lambda tmp: ["make", "affine", "--n", "257", "--a", "3", "--b", "5", "--e", "7"],
+     _cap(257)),
     (lambda tmp: ["make", "affine", "--n", "1000000000", "--a", "3", "--b", "5", "--e", "7"],
-     1000000000),
+     _cap(1000000000)),
     (lambda tmp: ["make", "alexander", "--n", "257", "--t", "3", "--v", "1",
-                  "--coeffs", "1,0,0,0,0,0"], 257),
+                  "--coeffs", "1,0,0,0,0,0"], _cap(257)),
     (lambda tmp: ["make", "alexander", "--n", "1000000000", "--t", "3", "--v", "1",
-                  "--coeffs", "1,0,0,0,0,0"], 1000000000),
-], ids=["verify_257", "affine_257", "affine_1e9", "alexander_257", "alexander_1e9"])
-def test_size_cap_is_checked_before_any_work(tmp_path, capsys, argv, n):
+                  "--coeffs", "1,0,0,0,0,0"], _cap(1000000000)),
+    (lambda tmp: ["color", _doc_file(tmp, "P.json", _HUGE_PRESENTATION),
+                  write_stuquandle(tmp, "X_ex71")],
+     _cap(10**9, "a presentation has at most 1048576 generators")),
+    (lambda tmp: ["phi", _doc_file(tmp, "P.json", _HUGE_PRESENTATION),
+                  write_stuquandle(tmp, "X_ex71")],
+     _cap(10**9, "a presentation has at most 1048576 generators")),
+    (lambda tmp: ["rna", "convert", _doc_file(tmp, "arc.json", _HUGE_ARC)],
+     _cap(10**9, "an arc diagram has at most 1048576 strands")),
+    (lambda tmp: ["rna", "convert", _doc_file(tmp, "arc.json", {"strands": 10**30,
+                                                                 "stripes": []})],
+     _cap(10**30, "an arc diagram has at most 1048576 strands")),
+], ids=["verify_257", "affine_257", "affine_1e9", "alexander_257", "alexander_1e9",
+        "color_generators_1e9", "phi_generators_1e9", "rna_convert_strands_1e9",
+        "rna_convert_strands_1e30"])
+def test_size_cap_is_checked_before_any_work(tmp_path, capsys, argv, line):
     argv = argv(tmp_path)
     start = time.perf_counter()
     got = run(capsys, *argv)
     assert time.perf_counter() - start < 1.0
-    assert got == (1, "", f"error: a structure has at most 256 elements, got {n}\n")
+    assert got == (1, "", line)
 
 
 def _relation(op, out=0):
@@ -417,25 +437,31 @@ def _catalog_documents(kind):
     return [doc["presentation"] for doc in docs] if kind == "presentation" else docs
 
 
-_FIELD_VALUES = st.one_of(
+_ODD_VALUES = st.one_of(
     st.floats(), st.booleans(), st.text(max_size=3), st.lists(st.integers(0, 3), max_size=2),
     st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1), st.none(),
-    st.sampled_from([10**30, -10**30]), st.integers(-3, 12))
+    st.sampled_from([10**30, -10**30]))
+_FIELD_VALUES = st.one_of(_ODD_VALUES, st.integers(-3, 12))
+# a search over g free generators of X_ex71 has 4**g colorings, so g stays small
+_GENERATOR_COUNTS = st.one_of(_ODD_VALUES, st.integers(-3, 6))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_mutated_records_end_without_traceback(tmp_path_factory, data):
-    """One field, key or arity of a catalog relation, stripe or classical
-    crossing is mutated, and the command ends in a documented exit code with
-    at most one stderr line.  generators and strands stay as they are: a
-    huge count makes an unbounded allocation, the open defect of ROADMAP
-    item 3, which this test does not cover."""
+    """The generator or strand count, or one field, key or arity of a
+    catalog relation, stripe or classical crossing is mutated, and the
+    command ends in a documented exit code with at most one stderr line."""
     kind = data.draw(st.sampled_from(["presentation", "arc_diagram"]))
     doc = json.loads(json.dumps(data.draw(st.sampled_from(_catalog_documents(kind)))))
     keys = ["relations"] if kind == "presentation" else ["stripes", "classicals"]
     records = [r for key in keys for r in doc.get(key, [])]
-    if records:
+    if data.draw(st.booleans()):
+        if kind == "presentation":
+            doc["generators"] = data.draw(_GENERATOR_COUNTS)
+        else:
+            doc["strands"] = data.draw(_FIELD_VALUES)
+    elif records:
         record = data.draw(st.sampled_from(records))
         fields = list(record) if isinstance(record, dict) else list(range(len(record)))
         field = data.draw(st.sampled_from(fields))
@@ -470,7 +496,7 @@ def _parse_outcome(parse, argv):
     try:
         with contextlib.redirect_stdout(stdout):
             return "namespace", vars(parse(list(argv)))
-    except FormatError as exc:
+    except ValueError as exc:
         return "usage error", str(exc)
     except SystemExit as exc:
         return "exit", exc.code, stdout.getvalue()
@@ -515,7 +541,7 @@ def test_parse_builds_only_the_named_command(monkeypatch, argv, built):
     add_command = cli._add_command
     monkeypatch.setattr(cli, "_add_command",
                         lambda sub, name, *rest: added.append(name) or add_command(sub, name, *rest))
-    with contextlib.suppress(FormatError):
+    with contextlib.suppress(ValueError):
         cli._parse(argv)
     assert added == built
 

@@ -17,6 +17,8 @@ from stuquandle import (
     Stripe,
     Stuck,
     Subset,
+    affine_stuquandle,
+    alexander_stuquandle,
     build_stuquandle,
 )
 from stuquandle.rna import StrandCrossing
@@ -33,6 +35,9 @@ CONSTRUCTORS = {
     "star entry": lambda v: build_stuquandle(2, [[0, 0], [v, 1]], FIRST, SECOND, FIRST, SECOND),
     "r4 entry": lambda v: build_stuquandle(2, FIRST, FIRST, SECOND, FIRST, [[0, 1], [0, v]]),
     "subset element": lambda v: Subset(X1, (0, v)),
+    "affine modulus": lambda v: affine_stuquandle(v, 3, 1, 1),
+    "affine unit": lambda v: affine_stuquandle(4, v, 1, 1),
+    "alexander weight": lambda v: alexander_stuquandle(4, 3, 1, v, 0, 0, 0, 0, 0),
     "exponent": lambda v: Polynomial(QP_VARS, [((1, 0), 1), ((1, v), 2)]),
     "coefficient": lambda v: Polynomial(QP_VARS, [((1, 0), v)]),
     "multiplicity": lambda v: PolynomialMultiset([(P, 1), (P, v)]),

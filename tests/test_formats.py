@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stuquandle import AxiomViolation, FormatError, Presentation, Relation, compile_diagram
+from stuquandle import AxiomViolation, Presentation, Relation, compile_diagram
 from stuquandle.catalog import fixture, list_fixtures
 from stuquandle import formats
 from stuquandle.rna import self_closure, to_crossing_diagram
@@ -65,34 +65,37 @@ def test_crossing_diagram_round_trip(d):
     assert formats.crossing_diagram_from_dict(doc) == d
 
 
-@pytest.mark.parametrize("extra", [
-    {"crossings": [["stuck", 1, "x", 0, 0, 0]]},
-    {"crossings": [["classical", True, 0, 1, 1]]},
-    {"crossings": [["stuck", 1, 0, 1, 0, 1.0]]},
-    {"open_ends": 5},
-    {"open_ends": [[0]]},
-    {"crossings": [5]},
-    {"crossings": [["bogus"]]},
+@pytest.mark.parametrize("extra, message", [
+    ({"crossings": [["stuck", 1, "x", 0, 0, 0]]},
+     "crossing diagram field 'x' is not an integer"),
+    ({"crossings": [["classical", True, 0, 1, 1]]},
+     "crossing diagram field True is not an integer"),
+    ({"crossings": [["stuck", 1, 0, 1, 0, 1.0]]},
+     "crossing diagram field 1.0 is not an integer"),
+    ({"open_ends": 5}, "each open end pair must be a list of 2 integers"),
+    ({"open_ends": [[0]]}, "each open end pair must be a list of 2 integers"),
+    ({"crossings": [5]}, "each crossing must be a list that starts with its kind"),
+    ({"crossings": [["bogus"]]}, r"bad crossing entry \['bogus'\]"),
 ], ids=["str_arc", "bool_sign", "float_arc", "open_ends_not_list", "short_open_end",
         "crossing_not_list", "unknown_kind"])
-def test_bad_crossing_diagram_is_format_error(extra):
-    with pytest.raises(FormatError):
+def test_bad_crossing_diagram_is_format_error(extra, message):
+    with pytest.raises(ValueError, match=message):
         formats.crossing_diagram_from_dict({"arcs": 2, "crossings": [], **extra})
 
 
 def test_missing_key_is_format_error():
-    with pytest.raises(FormatError):
+    with pytest.raises(ValueError, match="stuquandle document is missing 'star'"):
         formats.stuquandle_from_dict({"n": 2})
-    with pytest.raises(FormatError):
+    with pytest.raises(ValueError, match="presentation document is missing 'relations'"):
         formats.presentation_from_dict({"generators": 2})
-    with pytest.raises(FormatError):
+    with pytest.raises(ValueError, match="arc diagram document is missing 'stripes'"):
         formats.arc_diagram_from_dict({"strands": 1})
 
 
 def test_bad_relation_op_is_format_error():
     doc = {"generators": 2,
            "relations": [{"out": 0, "op": "R9", "lhs": 0, "rhs": 1}]}
-    with pytest.raises(FormatError):
+    with pytest.raises(ValueError, match="unknown operation 'R9'"):
         formats.presentation_from_dict(doc)
 
 
@@ -100,19 +103,20 @@ def test_bad_relation_op_is_format_error():
     {"name": 7}, {"generator_names": 5}, {"generator_names": ["a", 2]},
 ])
 def test_non_string_presentation_names_are_format_errors(extra):
-    with pytest.raises(FormatError):
+    with pytest.raises(ValueError, match="presentation (name and generator_names must be "
+                                         "strings|generator_names must be a list)"):
         formats.presentation_from_dict({"generators": 2, "relations": [], **extra})
 
 
 def test_bad_stripe_arity_is_format_error():
-    with pytest.raises(FormatError):
+    with pytest.raises(ValueError, match="each stripe must be a list of 5 integers"):
         formats.arc_diagram_from_dict({"strands": 1, "stripes": [[0, 0, 10, 30]]})
 
 
 def test_non_integer_table_is_format_error():
     doc = {"n": 1, "star": [["x"]], "r1": [[0]], "r2": [[0]],
            "r3": [[0]], "r4": [[0]]}
-    with pytest.raises(FormatError):
+    with pytest.raises(ValueError, match="table entry 'x' is not an integer"):
         formats.stuquandle_from_dict(doc)
 
 
@@ -128,16 +132,16 @@ def test_axiom_failure_propagates_from_file(tmp_path):
 def test_invalid_json_file(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
-    with pytest.raises(FormatError):
+    with pytest.raises(ValueError, match="broken.json is not valid JSON"):
         formats.load_document(path)
     missing = tmp_path / "absent.json"
-    with pytest.raises(FormatError):
+    with pytest.raises(ValueError, match="cannot read .*absent.json"):
         formats.load_document(missing)
     array = tmp_path / "array.json"
     array.write_text("[1, 2]")
-    with pytest.raises(FormatError):
+    with pytest.raises(ValueError, match="array.json must contain a JSON object"):
         formats.load_document(array)
     utf16 = tmp_path / "utf16.json"
     utf16.write_bytes(b"\xff\xfe{\x00}\x00")
-    with pytest.raises(FormatError, match="utf16.json"):
+    with pytest.raises(ValueError, match="utf16.json is not UTF-8 text"):
         formats.load_document(utf16)

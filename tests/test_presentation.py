@@ -9,7 +9,6 @@ from stuquandle import (
     OPS,
     Classical,
     CrossingDiagram,
-    IndexOutOfRange,
     Presentation,
     Relation,
     Stuck,
@@ -276,16 +275,16 @@ def test_double_kink_opposite_signs():
 
 
 def test_add_kink_index_check():
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(ValueError, match="arc index 1 outside 0..0"):
         add_kink(CrossingDiagram(1), 1, 1)
     with pytest.raises(ValueError):
         add_kink(CrossingDiagram(1), 0, 2)
 
 
 def test_diagram_and_relation_index_checks():
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(ValueError, match="arc index 2 outside 0..1"):
         CrossingDiagram(2, (Classical(1, over=2, under_in=0, under_out=1),))
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(ValueError, match="generator index 2 outside 0..1"):
         Presentation(2, (Relation(0, "*", 1, 2),))
     with pytest.raises(ValueError, match="unknown operation 'bogus'"):
         Presentation(1, (Relation(0, "bogus", 0, 0),))

@@ -6,8 +6,6 @@ from stuquandle import (
     ArcDiagram,
     Classical,
     CrossingDiagram,
-    DanglingEnd,
-    MalformedStripe,
     StrandCrossing,
     Stripe,
     Stuck,
@@ -68,19 +66,14 @@ def test_closure_numbers_chained_ends_by_first_slot_use():
         4, (Classical(1, 0, 1, 2), Stuck(-1, 2, 1, 0, 2)), ())
 
 
-def test_positions_listing():
-    assert RNA1.positions == ((10, 30),)
-    assert RNA2.positions == ((10,), (15,))
-
-
 def test_malformed_stripes_rejected():
-    with pytest.raises(MalformedStripe):
-        ArcDiagram(1, (Stripe(0, 0, 10, 10, 1),))  # duplicate bond site
-    with pytest.raises(MalformedStripe):
-        ArcDiagram(1, (Stripe(0, 1, 10, 20, 1),))  # missing strand
-    with pytest.raises(MalformedStripe):
-        ArcDiagram(1, (Stripe(0, 0, 10, 20, 0),))  # bad sign
-    with pytest.raises(MalformedStripe):
+    with pytest.raises(ValueError, match="duplicate site at strand 0, position 10"):
+        ArcDiagram(1, (Stripe(0, 0, 10, 10, 1),))
+    with pytest.raises(ValueError, match="stripe references missing strand 1"):
+        ArcDiagram(1, (Stripe(0, 1, 10, 20, 1),))
+    with pytest.raises(ValueError, match="stripe sign must be [+]1 or -1, got 0"):
+        ArcDiagram(1, (Stripe(0, 0, 10, 20, 0),))
+    with pytest.raises(ValueError, match="duplicate site at strand 0, position 10"):
         ArcDiagram(
             1,
             (Stripe(0, 0, 10, 20, 1),),
@@ -90,7 +83,7 @@ def test_malformed_stripes_rejected():
 
 def test_double_closure_raises():
     closed = self_closure(to_crossing_diagram(RNA1))
-    with pytest.raises(DanglingEnd):
+    with pytest.raises(ValueError, match="no open strand ends to close"):
         self_closure(closed)
 
 
