@@ -106,7 +106,7 @@ def _compare(args, out, load):
 
 def _rna_convert(args, out, load):
     pres = arc_presentation(formats.load_arc_diagram(load(args.arc)))
-    out.append(json.dumps(formats.presentation_to_dict(pres), indent=2))
+    out.append(formats.presentation_text(pres))
 
 
 def _rna_phi(args, out, load):

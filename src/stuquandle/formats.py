@@ -14,7 +14,8 @@ list, a crossing [kind, *fields] and a relation {"out", "op", "lhs", "rhs"}.
 This module checks document shape only: objects, keys, lists and arities.
 The containers check their records' values (exact integers, known
 operations, ranges).  Either raises ValueError on malformed input; an axiom
-failure propagates as its own type.
+failure propagates as its own type.  presentation_text writes a presentation
+as json.dumps(..., indent=2) would, filling one template per relation.
 """
 
 from __future__ import annotations
@@ -74,15 +75,34 @@ def stuquandle_from_dict(doc: dict) -> FiniteStuquandle:
                                  for key in TABLE_KEYS))
 
 
-def presentation_to_dict(P: Presentation) -> dict:
+def _presentation_head(P: Presentation) -> dict:
     doc: dict = {}
     if P.name:
         doc["name"] = P.name
     doc["generators"] = P.generator_count
     if P.generator_names:
         doc["generator_names"] = list(P.generator_names)
-    doc["relations"] = [r._asdict() for r in P.relations]
     return doc
+
+
+def presentation_to_dict(P: Presentation) -> dict:
+    return {**_presentation_head(P), "relations": [r._asdict() for r in P.relations]}
+
+
+def presentation_text(P: Presentation) -> str:
+    """json.dumps(presentation_to_dict(P), indent=2), byte for byte.
+
+    The head goes through json.dumps, so names keep their escaping.  Each
+    relation fills one template: Presentation has checked that its indices
+    are exact ints and its op one of OPS, none of which needs escaping.
+    """
+    head = json.dumps(_presentation_head(P), indent=2)[:-2]  # drop the closing "\n}"
+    if not P.relations:
+        return head + ',\n  "relations": []\n}'
+    rows = ",\n".join([f'    {{\n      "out": {out},\n      "op": "{op}",\n'
+                        f'      "lhs": {lhs},\n      "rhs": {rhs}\n    }}'
+                        for out, op, lhs, rhs in P.relations])
+    return f'{head},\n  "relations": [\n{rows}\n  ]\n}}'
 
 
 def presentation_from_dict(doc: dict) -> Presentation:

@@ -3,12 +3,13 @@
 A presentation lists relations out = op(lhs, rhs) over a set of generators
 (the diagram arcs).  Crossing diagrams are a thin convenience layer that
 compiles to presentations.  Colorings by a finite stuquandle come from one
-engine, enumerate_colorings: preimage lists of each operation table the
-presentation uses, watch lists that send a newly fixed generator to just
-the relations it appears in, and a depth-first search over one assignment
-list, whose trial assignments a trail undoes.  The search branches on the
-lowest undecided generator in increasing value order, so the colorings come
-out in lexicographic order.
+engine, a generator that enumerate_colorings lists and phi_invariant
+streams: preimage lists of each operation table the presentation uses,
+watch lists that send a newly fixed generator to just the relations it
+appears in, and a depth-first search over one assignment list, whose trial
+assignments a trail undoes.  The search branches on the lowest undecided
+generator in increasing value order, so the colorings come out in
+lexicographic order.
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ OPS = (STAR, STAR_INV, R1, R2, R3, R4)
 # diagram has: each strand closes to at least one arc, a generator.  Both
 # constructors check it before anything is sized by the count.
 MAX_GENERATORS = 2**20
+# The most arcs a crossing diagram has.  An open diagram has up to one arc
+# more per strand than its closure, whose arcs are generators, so twice the
+# generator cap rejects no diagram whose closure compiles.
+MAX_ARCS = 2 * MAX_GENERATORS
 
 
 class Relation(NamedTuple):
@@ -152,6 +157,8 @@ class CrossingDiagram:
                     "crossing diagram field")
         if self.arc_count < 1:
             raise ValueError("a diagram needs at least one arc")
+        if self.arc_count > MAX_ARCS:
+            raise ValueError(f"a diagram has at most {MAX_ARCS} arcs, got {self.arc_count}")
         signs = tuple(map(attrgetter("sign"), self.crossings))
         if set(signs) - {1, -1}:
             sign = next(s for s in signs if s not in (1, -1))
@@ -166,8 +173,13 @@ def compile_diagram(d: CrossingDiagram, name: str = "") -> Presentation:
     return Presentation(d.arc_count, relations, name=name)
 
 
-def enumerate_colorings(P: Presentation, X: FiniteStuquandle):
-    """All relation-satisfying assignments, in lexicographic order.
+def enumerate_colorings(P: Presentation, X: FiniteStuquandle) -> list[tuple[int, ...]]:
+    """All relation-satisfying assignments, in lexicographic order."""
+    return list(_colorings(P, X))
+
+
+def _colorings(P: Presentation, X: FiniteStuquandle):
+    """Yield each relation-satisfying assignment, in lexicographic order.
 
     Each table T the presentation uses gets two preimage lists, built once:
     by_lhs[x][z] holds the y with T[x][y] == z, and by_rhs[y][z] the x with
@@ -255,7 +267,6 @@ def enumerate_colorings(P: Presentation, X: FiniteStuquandle):
             values = allowed if values is None else [v for v in values if v in allowed]
         return range(n) if values is None else values
 
-    results: list[tuple[int, ...]] = []
     frames = [(0, iter(candidates(0)), 0)]  # (generator, untried values, trail mark)
     while frames:
         i, values, mark = frames[-1]
@@ -271,10 +282,9 @@ def enumerate_colorings(P: Presentation, X: FiniteStuquandle):
         try:
             i = assign.index(-1, i + 1)
         except ValueError:
-            results.append(tuple(assign))
+            yield tuple(assign)
             continue
         frames.append((i, iter(candidates(i)), len(trail)))
-    return results
 
 
 def counting_invariant(P: Presentation, X: FiniteStuquandle) -> int:
@@ -294,9 +304,10 @@ def phi_invariant(P: Presentation, X: FiniteStuquandle) -> PolynomialMultiset:
     """Multiset of image polynomials, one entry per coloring.
 
     The image depends only on the set of values a coloring takes, so each
-    distinct value set is closed and profiled once.
+    distinct value set is closed and profiled once, and only the distinct
+    value sets are held while the colorings stream past.
     """
-    value_sets = Counter(frozenset(c) for c in enumerate_colorings(P, X))
+    value_sets = Counter(map(frozenset, _colorings(P, X)))
     return PolynomialMultiset(
         (substuquandle_polynomial(coloring_image(values, X)), count)
         for values, count in value_sets.items()

@@ -170,14 +170,40 @@ def test_compare_reference_pair(tmp_path, capsys):
     assert out == COMPARE_K1_K2_EX72
 
 
+CONVERT_K2_EX74 = """\
+{
+  "generators": 3,
+  "relations": [
+    {
+      "out": 2,
+      "op": "R3",
+      "lhs": 0,
+      "rhs": 1
+    },
+    {
+      "out": 1,
+      "op": "R4",
+      "lhs": 0,
+      "rhs": 1
+    },
+    {
+      "out": 0,
+      "op": "~*",
+      "lhs": 2,
+      "rhs": 1
+    }
+  ]
+}
+"""
+
+
 def test_rna_convert_and_phi(tmp_path, capsys):
     arc = write_arc(tmp_path, "rna_K2_ex74")
     target = write_stuquandle(tmp_path, "X_ex74")
     code, out, err = run(capsys, "rna", "convert", arc)
     assert code == 0
-    doc = json.loads(out)
-    assert doc["generators"] == 3
-    assert len(doc["relations"]) == 3
+    # the writer fills a template per relation, so pin the text itself
+    assert out == CONVERT_K2_EX74
     code, out, err = run(capsys, "rna", "phi", arc, target)
     assert code == 0
     assert out.strip() == fixture("rna_K2_ex74").expected["phi:X_ex74"]

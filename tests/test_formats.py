@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stuquandle import AxiomViolation, Presentation, Relation, compile_diagram
+from stuquandle import OPS, AxiomViolation, Presentation, Relation, compile_diagram
 from stuquandle.catalog import fixture, list_fixtures
 from stuquandle import formats
 from stuquandle.rna import self_closure, to_crossing_diagram
@@ -41,6 +41,36 @@ def test_presentation_round_trip(tmp_path_factory, pres):
     path = tmp_path_factory.mktemp("p") / "p.json"
     formats.save_document(path, formats.presentation_to_dict(pres))
     assert formats.load_presentation(path) == pres
+
+
+@st.composite
+def _named_presentations(draw):
+    """1-30 generators, 0-40 relations over every op, and a name and
+    generator names of any text, each present or not."""
+    count = draw(st.integers(1, 30))
+    index = st.integers(0, count - 1)
+    relations = draw(st.lists(st.builds(Relation, index, st.sampled_from(OPS), index, index),
+                              max_size=40))
+    name = draw(st.text() | st.just(""))
+    names = draw(st.lists(st.text(), min_size=count, max_size=count) | st.just([]))
+    return Presentation(count, tuple(relations), name=name, generator_names=tuple(names))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_named_presentations())
+@example(Presentation(1))
+@example(Presentation(2, (Relation(1, "~*", 0, 1),), name='q"\\\n\x00é\u2603\U0001f600',
+                      generator_names=("\t", "\ud800")))
+def test_presentation_text_is_json_dumps(pres):
+    assert formats.presentation_text(pres) == json.dumps(formats.presentation_to_dict(pres),
+                                                         indent=2)
+
+
+@pytest.mark.parametrize("arcs", [10**9, 10**30])
+def test_arc_count_is_capped_before_any_work(arcs):
+    with pytest.raises(ValueError, match=f"a diagram has at most 2097152 arcs, got {arcs}$"):
+        self_closure(formats.crossing_diagram_from_dict(
+            {"arcs": arcs, "crossings": [], "open_ends": [[0, 0]]}))
 
 
 @settings(max_examples=100, deadline=None)

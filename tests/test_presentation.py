@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -238,6 +239,20 @@ def test_phi_reference_render():
         "2*u^{2*s1^2*t1^2*s2^2*t2^4*s3*t3*s4^4*t4^2*s5*t5}"
         " + 2*u^{s1^2*t1^2*s2^2*t2^4*s3*t3*s4^4*t4^2*s5*t5}"
     )
+
+
+def test_phi_streams_the_colorings():
+    # 4**8 = 65,536 colorings: a list of them takes about 8 MB, and phi
+    # keeps only the distinct value sets
+    free = Presentation(8)
+    tracemalloc.start()
+    try:
+        phi = phi_invariant(free, X74)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert phi.total() == 4**8
+    assert peak < 1_000_000
 
 
 def test_phi_of_one_element_target():
