@@ -149,8 +149,13 @@ def substuquandle_polynomial(S: Subset) -> Polynomial:
     bad = _closure_violation(S)
     if bad is not None:
         raise NotClosed(S.members, *bad)
-    profiles = S.parent.profiles
-    return Polynomial(STU_VARS, [(profiles[x], 1) for x in S.members])
+    return _profile_polynomial(S.parent, S.members)
+
+
+def _profile_polynomial(X: FiniteStuquandle, members) -> Polynomial:
+    """substuquandle_polynomial of members, known to be closed, unchecked."""
+    profiles = X.profiles
+    return Polynomial(STU_VARS, [(profiles[x], 1) for x in members])
 
 
 def quandle_polynomial(table) -> Polynomial:

@@ -3,13 +3,18 @@
 A presentation lists relations out = op(lhs, rhs) over a set of generators
 (the diagram arcs).  Crossing diagrams are a thin convenience layer that
 compiles to presentations.  Colorings by a finite stuquandle come from one
-engine, a generator that enumerate_colorings lists and phi_invariant
-streams: preimage lists of each operation table the presentation uses,
+engine, a generator that enumerate_colorings lists and the invariants
+stream: preimage lists of each operation table the presentation uses,
 watch lists that send a newly fixed generator to just the relations it
 appears in, and a depth-first search over one assignment list, whose trial
 assignments a trail undoes.  The search branches on the lowest undecided
 generator in increasing value order, so the colorings come out in
 lexicographic order.
+
+Where x -> x+1 mod n is an automorphism of the target, as on every affine
+and Alexander stuquandle on Z_n, shifting a coloring by t shifts its image,
+which keeps its polynomial, so counting_invariant and phi_invariant search
+only generator 0 = 0 and count each coloring found n times.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import NamedTuple
 
 from .algebra import (DEFINING, FiniteStuquandle, Subset, _check_ints, _check_range,
                       _flatten, substuquandle_closure)
-from .polynomial import PolynomialMultiset, substuquandle_polynomial
+from .polynomial import PolynomialMultiset, _profile_polynomial
 
 STAR, R1, R2, R3, R4 = DEFINING
 STAR_INV = "~*"
@@ -178,8 +183,9 @@ def enumerate_colorings(P: Presentation, X: FiniteStuquandle) -> list[tuple[int,
     return list(_colorings(P, X))
 
 
-def _colorings(P: Presentation, X: FiniteStuquandle):
-    """Yield each relation-satisfying assignment, in lexicographic order.
+def _colorings(P: Presentation, X: FiniteStuquandle, roots=None):
+    """Yield each relation-satisfying assignment, in lexicographic order;
+    with roots given, only those whose generator 0 takes one of its values.
 
     Each table T the presentation uses gets two preimage lists, built once:
     by_lhs[x][z] holds the y with T[x][y] == z, and by_rhs[y][z] the x with
@@ -267,7 +273,7 @@ def _colorings(P: Presentation, X: FiniteStuquandle):
             values = allowed if values is None else [v for v in values if v in allowed]
         return range(n) if values is None else values
 
-    frames = [(0, iter(candidates(0)), 0)]  # (generator, untried values, trail mark)
+    frames = [(0, iter(candidates(0) if roots is None else roots), 0)]  # (generator, values, mark)
     while frames:
         i, values, mark = frames[-1]
         for v in values:
@@ -287,8 +293,21 @@ def _colorings(P: Presentation, X: FiniteStuquandle):
         frames.append((i, iter(candidates(i)), len(trail)))
 
 
+def _shift_roots(X: FiniteStuquandle):
+    """(roots for _colorings, weight of each coloring): ((0,), n) if every
+    defining table has rows[x+1][y+1] == rows[x][y] + 1 mod n, which makes
+    x -> x+1 an automorphism (~* follows from *), else (None, 1)."""
+    succ = (*range(1, X.n), 0)
+    shifts = all(rows[(x + 1) % X.n] == tuple(map(succ.__getitem__, row[-1:] + row[:-1]))
+                 for rows in X.defining for x, row in enumerate(rows))
+    return ((0,), X.n) if shifts else (None, 1)
+
+
 def counting_invariant(P: Presentation, X: FiniteStuquandle) -> int:
-    return len(enumerate_colorings(P, X))
+    """The number of colorings, counted as they stream past, with generator
+    0 = 0 alone where the shift is an automorphism of X (module docstring)."""
+    roots, weight = _shift_roots(X)
+    return weight * sum(1 for _ in _colorings(P, X, roots))
 
 
 def coloring_image(coloring, X: FiniteStuquandle) -> Subset:
@@ -305,11 +324,14 @@ def phi_invariant(P: Presentation, X: FiniteStuquandle) -> PolynomialMultiset:
 
     The image depends only on the set of values a coloring takes, so each
     distinct value set is closed and profiled once, and only the distinct
-    value sets are held while the colorings stream past.
+    value sets are held while the colorings stream past.  Where the shift
+    is an automorphism of X, generator 0 = 0 alone is searched, each
+    coloring counting n times (module docstring).
     """
-    value_sets = Counter(map(frozenset, _colorings(P, X)))
+    roots, weight = _shift_roots(X)
+    value_sets = Counter(map(frozenset, _colorings(P, X, roots)))
     return PolynomialMultiset(
-        (substuquandle_polynomial(coloring_image(values, X)), count)
+        (_profile_polynomial(X, coloring_image(values, X).members), weight * count)
         for values, count in value_sets.items()
     )
 

@@ -1,20 +1,24 @@
 import time
 import tracemalloc
 from collections import Counter
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stuquandle import (
     OPS,
     Classical,
     CrossingDiagram,
+    PolynomialMultiset,
     Presentation,
     Relation,
     Stuck,
     Subset,
     add_kink,
+    affine_stuquandle,
+    alexander_stuquandle,
     coloring_image,
     compare_invariants,
     compile_diagram,
@@ -23,8 +27,10 @@ from stuquandle import (
     is_substuquandle,
     phi_invariant,
     substuquandle_closure,
+    substuquandle_polynomial,
     build_stuquandle,
 )
+from stuquandle import presentation
 from stuquandle.catalog import fixture, list_fixtures
 from stuquandle.rna import self_closure, to_crossing_diagram
 
@@ -177,8 +183,8 @@ def test_phi_total_equals_counting():
 
 
 @st.composite
-def _small_presentations(draw):
-    g = draw(st.integers(1, 4))
+def _small_presentations(draw, max_generators=4):
+    g = draw(st.integers(1, max_generators))
     index = st.integers(0, g - 1)
     rels = draw(st.lists(st.tuples(index, st.sampled_from(OPS), index, index), max_size=5))
     return Presentation(g, tuple(Relation(*r) for r in rels))
@@ -207,13 +213,28 @@ def test_deep_propagation_chain():
     assert got == [(v,) * g for v in range(4)]
 
 
+@st.composite
+def _linear_targets(draw, max_n):
+    """An affine or Alexander stuquandle on Z_n, n <= max_n: the shift
+    x -> x+1 is an automorphism of each."""
+    n = draw(st.integers(1, max_n))
+    unit = st.sampled_from([u for u in range(n) if gcd(u, n) == 1])
+    if draw(st.booleans()):
+        return affine_stuquandle(n, draw(unit), *draw(st.lists(st.integers(0, n - 1),
+                                                               min_size=2, max_size=2)))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=7, max_size=7))
+    return alexander_stuquandle(n, draw(unit), *coeffs)
+
+
+_FIXTURE_TARGETS = st.sampled_from(STUQUANDLE_IDS).map(lambda sid: fixture(sid).payload)
+
+
 @settings(max_examples=150, deadline=None)
-@given(_small_presentations(), st.sampled_from(STUQUANDLE_IDS))
-def test_phi_matches_per_coloring_oracle(pres, sid):
+@given(_small_presentations(), st.one_of(_FIXTURE_TARGETS, _linear_targets(6)))
+def test_phi_matches_per_coloring_oracle(pres, X):
     """phi, one image polynomial per coloring, rebuilt from the sweep,
     closure and profile oracles; a polynomial is compared as its
     {exponents: coefficient} terms."""
-    X = fixture(sid).payload
     want = Counter()
     for coloring in oracles.sweep_colorings(pres, X):
         terms = Counter()
@@ -231,6 +252,69 @@ def test_phi_is_relabeling_invariant(pres, sid, data):
     X = fixture(sid).payload
     sigma = data.draw(st.permutations(range(X.n)))
     assert phi_invariant(pres, X.relabel(sigma)) == phi_invariant(pres, X)
+
+
+def test_shift_check_fires_on_linear_targets_only():
+    """The rooted search runs on X1_ex63, X2_ex63 and affine targets on Z_n,
+    and not on X_ex71, X_ex72, X_ex74 or an affine target relabelled by a
+    transposition, whose phi and count are still those of the original."""
+    for sid in ("X1_ex63", "X2_ex63"):
+        assert presentation._shift_roots(fixture(sid).payload) == ((0,), 4)
+    for n in range(1, 17):
+        for a in (u for u in range(n) if gcd(u, n) == 1):
+            X = affine_stuquandle(n, a, 2 * a + 1, a + 3)
+            assert presentation._shift_roots(X) == ((0,), n)
+    for X in (X71, X72, X74):
+        assert presentation._shift_roots(X) == (None, 1)
+    X = affine_stuquandle(8, 3, 5, 7)
+    Y = X.relabel((1, 0, *range(2, 8)))
+    assert presentation._shift_roots(Y) == (None, 1)
+    for fid, pres in catalog_presentations():
+        assert phi_invariant(pres, Y) == phi_invariant(pres, X), fid
+        assert counting_invariant(pres, Y) == counting_invariant(pres, X), fid
+
+
+def test_phi_searches_one_coloring_per_shift_orbit(monkeypatch):
+    """Over affine Z_8, phi and the count see 1/8 of the colorings they
+    count, each with generator 0 = 0."""
+    searched = []
+    colorings = presentation._colorings
+
+    def recorded(*args):
+        for c in colorings(*args):
+            searched.append(c)
+            yield c
+
+    monkeypatch.setattr(presentation, "_colorings", recorded)
+    X = affine_stuquandle(8, 3, 5, 7)
+    free = Presentation(3)
+    assert phi_invariant(free, X).total() == 8 * len(searched) == 8**3
+    assert {c[0] for c in searched} == {0}
+    searched.clear()
+    assert counting_invariant(free, X) == 8 * len(searched) == 8**3
+
+
+_EVERY_OP = Presentation(4, tuple(Relation((i + 1) % 4, op, i % 4, (i + 2) % 4)
+                                  for i, op in enumerate(OPS)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_presentations(max_generators=3),
+       st.one_of(st.sampled_from(("X1_ex63", "X2_ex63")).map(lambda sid: fixture(sid).payload),
+                 _linear_targets(16)))
+@example(Presentation(3), affine_stuquandle(16, 3, 5, 7))  # no relations
+@example(Presentation(3, (Relation(2, "R1", 1, 2),)), fixture("X2_ex63").payload)  # 0 free
+@example(_EVERY_OP, affine_stuquandle(16, 3, 5, 7))
+@example(_EVERY_OP, fixture("X1_ex63").payload)
+def test_rooted_search_matches_plain_search(pres, X):
+    """phi and the count, searched from generator 0 = 0 and weighted by n,
+    equal phi and the count of the plain search over every root."""
+    assert presentation._shift_roots(X) == ((0,), X.n)
+    value_sets = Counter(map(frozenset, presentation._colorings(pres, X, range(X.n))))
+    plain = PolynomialMultiset((substuquandle_polynomial(coloring_image(values, X)), k)
+                               for values, k in value_sets.items())
+    assert phi_invariant(pres, X) == plain
+    assert counting_invariant(pres, X) == plain.total()
 
 
 def test_phi_reference_render():
