@@ -7,9 +7,7 @@ from .algebra import (
     affine_stuquandle,
     alexander_stuquandle,
     build_stuquandle,
-    is_homomorphism,
     is_isomorphic,
-    is_substuquandle,
     substuquandle_closure,
     table_from,
 )
@@ -26,7 +24,6 @@ from .polynomial import (
     STU_VARS,
     Polynomial,
     PolynomialMultiset,
-    element_profile,
     parse_polynomial,
     quandle_polynomial,
     stuquandle_polynomial,

@@ -246,11 +246,6 @@ def _stuquandle_axioms(S, SI, R1, R2, R3, R4):
     )
 
 
-def _verify_stuquandle(S, SI, R1, R2, R3, R4):
-    """Check eq1..eq10 in order."""
-    _scan(len(S), _stuquandle_axioms(S, SI, R1, R2, R3, R4))
-
-
 @dataclass(frozen=True)
 class FiniteStuquandle:
     """A validated finite stuquandle, built by build_stuquandle; immutable.
@@ -319,7 +314,7 @@ def build_stuquandle(n: int, star, r1, r2, r3, r4) -> FiniteStuquandle:
     _check_ints((n,), "carrier size")
     star, r1, r2, r3, r4 = (_square_rows(t, n) for t in (star, r1, r2, r3, r4))
     star_inv = verify_quandle(star)
-    _verify_stuquandle(star, star_inv, r1, r2, r3, r4)
+    _scan(n, _stuquandle_axioms(star, star_inv, r1, r2, r3, r4))
     return FiniteStuquandle(n, star, star_inv, r1, r2, r3, r4)
 
 
@@ -387,11 +382,6 @@ def _closure_violation(s: Subset):
     return None
 
 
-def is_substuquandle(s: Subset) -> bool:
-    """True iff s is closed under *, ~*, R1, R2, R3 and R4."""
-    return _closure_violation(s) is None
-
-
 def substuquandle_closure(s: Subset) -> Subset:
     """Smallest superset of s closed under the five operations and ~*."""
     if not s.members:
@@ -413,27 +403,6 @@ def substuquandle_closure(s: Subset) -> Subset:
     return Subset(s.parent, tuple(inside))
 
 
-def _equations(X: FiniteStuquandle, Y: FiniteStuquandle):
-    """(Y's rows of op, a, b, c) for each equation op(a, b) = c of X's
-    defining tables."""
-    for opx, opy in zip(X.defining, Y.defining):
-        for a, row in enumerate(opx):
-            for b, c in enumerate(row):
-                yield opy, a, b, c
-
-
-def is_homomorphism(f, X: FiniteStuquandle, Y: FiniteStuquandle) -> bool:
-    """True iff f carries each of *, R1..R4 on X to its counterpart on Y."""
-    f = tuple(f)
-    try:
-        _check_ints(f, "image")
-    except ValueError:
-        return False
-    if len(f) != X.n or any(not 0 <= v < Y.n for v in f):
-        return False
-    return all(f[c] == opy[f[a]][f[b]] for opy, a, b, c in _equations(X, Y))
-
-
 def is_isomorphic(X: FiniteStuquandle, Y: FiniteStuquandle):
     """The lexicographically first isomorphism X -> Y as a tuple, or None.
 
@@ -451,8 +420,10 @@ def is_isomorphic(X: FiniteStuquandle, Y: FiniteStuquandle):
         tuple(y for y in range(Y.n) if py[y] == px[x]) for x in range(X.n)
     ]
     due = [[] for _ in range(X.n)]
-    for opy, a, b, c in _equations(X, Y):
-        due[max(a, b, c)].append((opy, a, b, c))
+    for opx, opy in zip(X.defining, Y.defining):
+        for a, row in enumerate(opx):
+            for b, c in enumerate(row):
+                due[max(a, b, c)].append((opy, a, b, c))
 
     def search(f: tuple):
         i = len(f)

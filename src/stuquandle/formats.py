@@ -16,6 +16,10 @@ The containers check their records' values (exact integers, known
 operations, ranges).  Either raises ValueError on malformed input; an axiom
 failure propagates as its own type.  presentation_text writes a presentation
 as json.dumps(..., indent=2) would, filling one template per relation.
+
+Crossing diagrams are only written, as the "diagram" key of `catalog show`
+({"arcs", "crossings": [[kind, *fields], ...], "open_ends"}); no command
+reads one.
 """
 
 from __future__ import annotations
@@ -25,17 +29,8 @@ import sys
 from pathlib import Path
 
 from .algebra import FiniteStuquandle, build_stuquandle
-from .presentation import (
-    Classical,
-    CrossingDiagram,
-    Presentation,
-    Relation,
-    Stuck,
-)
+from .presentation import CrossingDiagram, Presentation, Relation
 from .rna import ArcDiagram, StrandCrossing, Stripe
-
-# the crossing type of each file tag
-_CROSSING_TYPES = {cls.kind: cls for cls in (Classical, Stuck)}
 
 
 def _require(obj: dict, key: str, what: str, kind=None):
@@ -137,20 +132,6 @@ def crossing_diagram_to_dict(d: CrossingDiagram) -> dict:
     if d.open_ends:
         doc["open_ends"] = [list(pair) for pair in d.open_ends]
     return doc
-
-
-def crossing_diagram_from_dict(doc: dict) -> CrossingDiagram:
-    arcs = _require(doc, "arcs", "crossing diagram document")
-    crossings = []
-    for item in _require(doc, "crossings", "crossing diagram document", list):
-        if not isinstance(item, list) or not item or not isinstance(item[0], str):
-            raise ValueError("each crossing must be a list that starts with its kind")
-        cls, rest = _CROSSING_TYPES.get(item[0]), item[1:]
-        if cls is None or len(rest) != len(cls._fields):
-            raise ValueError(f"bad crossing entry {item!r}")
-        crossings.append(cls(*rest))
-    open_ends = _records(doc.get("open_ends", []), 2, "open end pair")
-    return CrossingDiagram(arcs, tuple(crossings), tuple(map(tuple, open_ends)))
 
 
 def load_document(path) -> dict:

@@ -15,7 +15,6 @@ from .algebra import (
     FiniteStuquandle,
     Subset,
     _check_ints,
-    _check_range,
     _closure_violation,
     _flatten,
     _square_rows,
@@ -125,14 +124,6 @@ def parse_polynomial(text: str, variables=STU_VARS) -> Polynomial:
             exps[index[m.group(1)]] += int(m.group(2) or 1)
         terms.append((tuple(exps), coeff))
     return Polynomial(variables, terms)
-
-
-def element_profile(X: FiniteStuquandle, x: int) -> tuple[int, ...]:
-    """The exponent tuple of x's monomial, X.profiles[x]; x must be an exact
-    int in the carrier."""
-    _check_ints((x,), "element")
-    _check_range((x,), X.n, "element")
-    return X.profiles[x]
 
 
 def stuquandle_polynomial(X: FiniteStuquandle) -> Polynomial:

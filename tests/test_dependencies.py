@@ -1,11 +1,16 @@
-"""The package imports nothing outside the standard library, and its own
-modules import each other at module level without a cycle."""
+"""The package imports nothing outside the standard library, its own
+modules import each other at module level without a cycle, and every
+public name has a user."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
+import stuquandle
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "stuquandle"
+README = PACKAGE.parent.parent / "README.md"
 
 
 def _trees():
@@ -65,3 +70,26 @@ def test_internal_import_graph_is_acyclic():
 
     for name in sorted(graph):
         visit(name)
+
+
+def _uses(tree) -> set[str]:
+    """Every name a module reads, as a variable or as an attribute; a def,
+    a class or an assignment binds its name without reading it."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def test_every_public_name_has_a_user():
+    # a name that only tests call is test-only API: its check belongs in the tests
+    trees = _trees()
+    used = set().union(*(_uses(tree) for module, tree in trees.items() if module != "__init__"))
+    readme = README.read_text()
+    unused = [name for name in stuquandle.__all__
+              if name not in trees and name not in used
+              and not re.search(rf"\b{re.escape(name)}\b", readme)]
+    assert not unused, f"public names with no user in src/ or README.md: {unused}"

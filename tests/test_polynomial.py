@@ -12,7 +12,6 @@ from stuquandle import (
     QP_VARS,
     STU_VARS,
     Subset,
-    element_profile,
     parse_polynomial,
     quandle_polynomial,
     stuquandle_polynomial,
@@ -40,13 +39,13 @@ def _combination(*scaled):
 
 
 def test_profile_reference_values():
-    p = element_profile(X71, 0)
+    p = X71.profiles[0]
     assert p[0::2] == (2, 2, 1, 4, 1)
     assert p[1::2] == (2, 4, 1, 2, 1)
-    p = element_profile(X72, 1)
+    p = X72.profiles[1]
     assert p[0::2] == (3, 0, 0, 3, 1)
     assert p[1::2] == (3, 1, 2, 2, 1)
-    p = element_profile(ONE, 0)
+    p = ONE.profiles[0]
     assert p[0::2] == (1, 1, 1, 1, 1)
     assert p[1::2] == (1, 1, 1, 1, 1)
 
@@ -54,25 +53,12 @@ def test_profile_reference_values():
 def test_profiles_match_table_counts():
     for X in ALL:
         for x in range(X.n):
-            p = element_profile(X, x)
+            p = X.profiles[x]
             assert (p[0::2], p[1::2]) == oracles.count_profile(X, x)
 
 
-def test_element_profile_rejects_elements_outside_the_carrier():
-    for X in ALL:
-        for x in (-1, X.n):
-            with pytest.raises(ValueError):
-                element_profile(X, x)
-
-
-def test_element_profile_rejects_non_int_elements():
-    for x in (1.0, True):
-        with pytest.raises(ValueError, match="is not an integer"):
-            element_profile(X71, x)
-
-
 def test_profile_exponent_interleaving():
-    assert element_profile(X71, 0) == (2, 2, 2, 4, 1, 1, 4, 2, 1, 1)
+    assert X71.profiles[0] == (2, 2, 2, 4, 1, 1, 4, 2, 1, 1)
 
 
 def test_stqp_reference_renders():
